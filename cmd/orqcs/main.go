@@ -7,9 +7,9 @@
 //
 // Usage:
 //
-//	orqcs -circuit file.tiscc [-seed 1] [-shots 1] [-workers 0] [-expect "Z@0.2,X@4.6"] [-noise p] [-fuse] [-engine frame]
-//	orqcs -memory d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem] [-engine frame]
-//	orqcs -surgery d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem] [-engine frame]
+//	orqcs -circuit file.tiscc [-seed 1] [-shots 1] [-workers 0] [-expect "Z@0.2,X@4.6"] [-noise p] [-fuse]
+//	orqcs -memory d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem]
+//	orqcs -surgery d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem]
 //
 // The circuit is compiled once into a lowered program; multi-shot estimates
 // then run on a deterministic parallel worker pool (results depend only on
@@ -29,10 +29,9 @@
 // the merge outcome), with detectors stitched across the merge and split
 // boundaries; rounds counts the merged-phase rounds (default d).
 //
-// -engine selects the multi-shot sampling engine: the batch Pauli-frame
-// sampler (frame, the default — bit-identical records, O(faults) per shot),
-// the bit-sliced tableau (sliced) or the row-major reference tableau
-// (rowmajor). Non-Clifford circuits fall back to the tableau engines.
+// Multi-shot runs on Clifford programs sample on the batch Pauli-frame
+// engine (bit-identical records to the tableaus, O(faults) per shot);
+// non-Clifford circuits fall back to the bit-sliced tableau engine.
 //
 // -metrics (with -memory/-surgery) writes the run's structured manifest:
 // provenance, stage spans and the estimation point's program, noise, sampler
@@ -82,7 +81,6 @@ func main() {
 		surgery = flag.String("surgery", "", "run a two-patch ZZ-merge/split cycle instead of a circuit file: d or d:rounds")
 		decode  = flag.Bool("decode", false, "with -memory/-surgery -noise: union-find-decode each shot's syndrome history")
 		demFile = flag.String("dem", "", "with -memory/-surgery: write the Stim-compatible detector error model to this file")
-		engine  = flag.String("engine", "frame", "multi-shot sampling engine: frame (Pauli-frame, default), sliced (bit-sliced tableau), rowmajor (row-major reference tableau)")
 		metOut  = flag.String("metrics", "", "with -memory/-surgery: write the structured run manifest (provenance, spans, pipeline metrics) to this JSON file")
 		promOut = flag.String("prom", "", "with -memory/-surgery: write the run metrics in Prometheus text exposition format to this file")
 		diagOut = flag.Bool("diag", false, "with a noisy -memory/-surgery run: print the per-channel error-budget attribution table (and record it in the manifest)")
@@ -122,17 +120,14 @@ func main() {
 	if *workers < 0 {
 		usageErr(fmt.Sprintf("-workers must be ≥ 0 (0 = GOMAXPROCS), got %d", *workers))
 	}
-	if err := validateEngine(*engine); err != nil {
-		usageErr(err.Error())
-	}
 	eo := estOpts{metricsFile: *metOut, promFile: *promOut,
 		diag: *diagOut, demCalib: *calOut, progress: progress.dest}
 	if *memory != "" {
-		runMemory(*memory, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse, *engine)
+		runMemory(*memory, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse)
 		return
 	}
 	if *surgery != "" {
-		runSurgery(*surgery, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse, *engine)
+		runSurgery(*surgery, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse)
 		return
 	}
 	if *file == "" {
@@ -170,7 +165,7 @@ func main() {
 	}
 
 	if *shots > 1 && len(op) > 0 {
-		mean, stderr, err := estimateOp(prog, sched, op, *shots, *seed, *workers, *engine)
+		mean, stderr, err := estimateOp(prog, sched, op, *shots, *seed, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -184,9 +179,6 @@ func main() {
 	}
 
 	eng := orqcs.NewFromProgram(prog)
-	if *engine == "rowmajor" {
-		eng = orqcs.NewFromProgramRowMajor(prog)
-	}
 	if sched != nil {
 		sched.RunShot(eng, *seed)
 	} else {
@@ -273,44 +265,20 @@ func (p *progressFlag) Set(v string) error {
 	return nil
 }
 
-// validateEngine checks the -engine selection names a known sampler.
-func validateEngine(engine string) error {
-	switch engine {
-	case "frame", "sliced", "rowmajor":
-		return nil
-	}
-	return fmt.Errorf("-engine must be frame, sliced or rowmajor, got %q", engine)
-}
-
-// estimateOp estimates one Pauli operator over a multi-shot run on the
-// selected engine. The Pauli-frame engine is the default for Clifford
-// programs (bit-identical to the tableaus, orders of magnitude faster on
-// noisy shots); non-Clifford programs need the tableaus' quasi-probability
-// T branches and fall back to the bit-sliced engine.
-func estimateOp(prog *orqcs.Program, sched *noise.Schedule, op orqcs.SitePauli, shots int, seed int64, workers int, engine string) (mean, stderr float64, err error) {
-	if engine == "frame" && !prog.Clifford() {
-		fmt.Fprintf(os.Stderr, "orqcs: %d T gates: falling back to the bit-sliced tableau engine\n", prog.NumTGates())
-		engine = "sliced"
-	}
-	switch engine {
-	case "frame":
+// estimateOp estimates one Pauli operator over a multi-shot run. Clifford
+// programs run on the Pauli-frame engine (bit-identical to the tableaus,
+// orders of magnitude faster on noisy shots); non-Clifford programs need the
+// tableaus' quasi-probability T branches and fall back to the bit-sliced
+// engine.
+func estimateOp(prog *orqcs.Program, sched *noise.Schedule, op orqcs.SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
+	if prog.Clifford() {
 		sim, err := frame.New(prog, sched)
 		if err != nil {
 			return 0, 0, err
 		}
 		return sim.EstimateBatch(op, shots, seed, workers)
-	case "rowmajor":
-		var run orqcs.ShotFunc
-		if sched != nil {
-			run = sched.RunShot
-		}
-		means, stderrs, err := orqcs.EstimateManyEngines(prog, orqcs.NewFromProgramRowMajor, run,
-			[]orqcs.SitePauli{op}, shots, seed, workers)
-		if err != nil {
-			return 0, 0, err
-		}
-		return means[0], stderrs[0], nil
 	}
+	fmt.Fprintf(os.Stderr, "orqcs: %d T gates: falling back to the bit-sliced tableau engine\n", prog.NumTGates())
 	if sched != nil {
 		means, stderrs, err := sched.EstimateMany([]orqcs.SitePauli{op}, shots, seed, workers)
 		if err != nil {
@@ -358,7 +326,7 @@ type experiment struct {
 
 // runMemory compiles a distance-d memory experiment and hands it to the
 // shared estimation pipeline.
-func runMemory(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool, engine string) {
+func runMemory(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool) {
 	d, rounds, err := parseDSpec("memory", spec)
 	if err != nil {
 		usageErr(err.Error())
@@ -385,13 +353,13 @@ func runMemory(spec string, noiseP float64, decode bool, demFile string, eo estO
 		rawLabel:  "raw readout",
 		labels:    map[string]any{"workload": "memory", "d": d, "rounds": rounds},
 		spans:     sp,
-	}, noiseP, decode, demFile, eo, shots, seed, workers, engine)
+	}, noiseP, decode, demFile, eo, shots, seed, workers)
 }
 
 // runSurgery compiles a distance-d two-patch ZZ-merge/split cycle and hands
 // it to the shared estimation pipeline; the estimated quantity is the joint
 // parity (final Z̄Z̄ readout against the merge outcome).
-func runSurgery(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool, engine string) {
+func runSurgery(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool) {
 	d, rounds, err := parseDSpec("surgery", spec)
 	if err != nil {
 		usageErr(err.Error())
@@ -416,7 +384,7 @@ func runSurgery(spec string, noiseP float64, decode bool, demFile string, eo est
 		rawLabel:  "raw joint-parity readout",
 		labels:    map[string]any{"workload": "surgery", "d": d, "rounds": rounds},
 		spans:     sp,
-	}, noiseP, decode, demFile, eo, shots, seed, workers, engine)
+	}, noiseP, decode, demFile, eo, shots, seed, workers)
 }
 
 // runExperiment is the common tail of -memory and -surgery: write the
@@ -424,7 +392,7 @@ func runSurgery(spec string, noiseP float64, decode bool, demFile string, eo est
 // union-find-decoded) logical error rate under depolarizing noise, and write
 // the run manifest / Prometheus exposition / diagnostics reports the
 // estimation options request.
-func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, engine string) {
+func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int) {
 	sp := e.spans
 	m := noise.Depolarizing(noiseP)
 	if err := m.Validate(); err != nil {
@@ -464,7 +432,7 @@ func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo
 		man := telemetry.NewManifest("orqcs")
 		man.Config = map[string]any{
 			"noise": noiseP, "shots": shots, "seed": seed,
-			"workers": workers, "engine": engine, "decode": decode,
+			"workers": workers, "decode": decode,
 		}
 		man.AddPoint(pt)
 		man.Finish(sp)
@@ -513,28 +481,17 @@ func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo
 			progW = f
 		}
 		pw = diag.NewProgressWriter(progW,
-			fmt.Sprintf("%s p=%g engine=%s", e.labels["workload"], noiseP, engine), shots)
+			fmt.Sprintf("%s p=%g", e.labels["workload"], noiseP), shots)
 		opt.Progress = pw.Batch
 	}
-	// Engine selection: all three samplers produce bit-identical records per
-	// (seed, shot), so the estimate is the same — the Pauli-frame default is
-	// purely a throughput choice. Every sampler is set explicitly (never left
-	// to the estimator's internal default) so each exposes merged Metrics.
-	var sampler interface{ Metrics() *telemetry.Snapshot }
-	switch engine {
-	case "frame":
-		sim, err := frame.New(e.prog, sched)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Sampler, sampler = sim, sim
-	case "sliced":
-		es := &noise.EngineSampler{S: sched}
-		opt.Sampler, sampler = es, es
-	case "rowmajor":
-		es := &noise.EngineSampler{S: sched, RowMajor: true}
-		opt.Sampler, sampler = es, es
+	// The workloads are Clifford, so they always sample on the Pauli-frame
+	// engine (bit-identical records to the tableaus); it is set explicitly so
+	// its merged counters land in the manifest.
+	sim, err := frame.New(e.prog, sched)
+	if err != nil {
+		fatal(err)
 	}
+	opt.Sampler = sim
 	label := e.rawLabel
 	var g *decoder.Graph
 	if decode {
@@ -563,13 +520,12 @@ func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo
 		}
 	}
 	fmt.Printf("depolarizing p=%g (%s): %v\n", noiseP, label, res)
-	e.labels["engine"] = engine
 	e.labels["decoded"] = decode
 	e.labels["p"] = noiseP
 	metrics := map[string]*telemetry.Snapshot{
 		"program": e.prog.Metrics(),
 		"noise":   sched.Metrics(),
-		"sampler": sampler.Metrics(),
+		"sampler": sim.Metrics(),
 	}
 	if g != nil {
 		metrics["decoder"] = g.Metrics()

@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"tiscc/internal/circuit"
+	"tiscc/internal/noise"
+	"tiscc/internal/orqcs"
+	"tiscc/internal/pauli"
 	"tiscc/internal/telemetry"
 )
 
@@ -64,16 +68,62 @@ func TestValidateShots(t *testing.T) {
 	}
 }
 
-func TestValidateEngine(t *testing.T) {
-	for _, e := range []string{"frame", "sliced", "rowmajor"} {
-		if err := validateEngine(e); err != nil {
-			t.Fatalf("validateEngine(%q): %v", e, err)
-		}
+// compileText compiles a TISCC circuit given in textual form.
+func compileText(t *testing.T, text string) *orqcs.Program {
+	t.Helper()
+	c, err := circuit.Parse(text)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range []string{"", "stim", "Frame"} {
-		if err := validateEngine(e); err == nil {
-			t.Fatalf("validateEngine(%q) accepted an unknown engine", e)
-		}
+	prog, err := orqcs.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestEstimateOpEngineChoice pins the CLI's automatic engine choice: a
+// Clifford program runs on the Pauli-frame engine and lands float for float
+// on the tableau estimate, and a program with a T gate takes the bit-sliced
+// tableau fallback (the frame engine rejects it).
+func TestEstimateOpEngineChoice(t *testing.T) {
+	const head = "Prepare_Z 0.2 t=0 d=10000\nY_pi/4 0.2 t=10000 d=10000\n"
+	op := orqcs.SitePauli{{R: 0, C: 2}: pauli.X}
+
+	cliff := compileText(t, head+"Z_pi/4 0.2 t=20000 d=3000\nZ_pi/4 0.2 t=23000 d=3000\n")
+	if !cliff.Clifford() {
+		t.Fatal("test program is not Clifford")
+	}
+	sched := noise.Compile(noise.Depolarizing(0.05), cliff)
+	mean, stderr, err := estimateOp(cliff, sched, op, 500, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantM, wantS, err := sched.EstimateMany([]orqcs.SitePauli{op}, 500, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mean != wantM[0] || stderr != wantS[0] {
+		t.Fatalf("Clifford: frame estimate %v ± %v, tableau %v ± %v", mean, stderr, wantM[0], wantS[0])
+	}
+	if mean == 1 {
+		t.Fatal("Clifford: noise left no trace on the estimate")
+	}
+
+	tprog := compileText(t, head+"Z_pi/8 0.2 t=20000 d=3000\n")
+	if tprog.NumTGates() != 1 {
+		t.Fatalf("test program has %d T gates, want 1", tprog.NumTGates())
+	}
+	mean, stderr, err = estimateOp(tprog, nil, op, 500, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMean, wantStderr, err := orqcs.EstimateBatch(tprog, op, 500, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mean != wantMean || stderr != wantStderr {
+		t.Fatalf("T gate: fallback estimate %v ± %v, tableau %v ± %v", mean, stderr, wantMean, wantStderr)
 	}
 }
 
@@ -102,7 +152,6 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"noise-negative", []string{"-memory", "3", "-noise", "-0.25"}, "probability in [0, 1]"},
 		{"zero-shots", []string{"-memory", "3", "-shots", "0"}, "-shots must be ≥ 1"},
 		{"negative-workers", []string{"-memory", "3", "-workers", "-2"}, "-workers must be ≥ 0"},
-		{"bad-engine", []string{"-memory", "3", "-engine", "stim"}, "-engine must be frame, sliced or rowmajor"},
 		{"both-experiments", []string{"-memory", "3", "-surgery", "3"}, "mutually exclusive"},
 		{"metrics-without-experiment", []string{"-circuit", "x.tiscc", "-metrics", "m.json"}, "-metrics requires -memory or -surgery"},
 		{"prom-without-experiment", []string{"-circuit", "x.tiscc", "-prom", "m.prom"}, "-prom requires -memory or -surgery"},

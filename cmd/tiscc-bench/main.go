@@ -13,7 +13,7 @@
 //	tiscc-bench -resources [-dlist 3,5,7,9,11,13]
 //	tiscc-bench -verify
 //	tiscc-bench -simbench [-d 5] [-shots 200] [-json]
-//	tiscc-bench -noise [-dlist 3,5] [-plist 1e-4,...] [-rounds 0] [-shots N] [-model depolarizing|table5] [-seed 1] [-workers 0] [-engine frame]
+//	tiscc-bench -noise [-dlist 3,5] [-plist 1e-4,...] [-rounds 0] [-shots N] [-model depolarizing|table5] [-seed 1] [-workers 0]
 //	tiscc-bench -noise -decode ...  (adds union-find syndrome decoding: p-vs-p_L threshold sweeps)
 //	tiscc-bench -noise -surgery ... (sweeps two-patch ZZ-merge/split cycles instead of idle memory)
 //	tiscc-bench -noise ... [-json] [-metrics run.json] [-prom run.prom]
@@ -70,7 +70,7 @@ func main() {
 		figure  = flag.Int("figure", 0, "print one paper figure (1, 2, 3, 4 or 6)")
 		res     = flag.Bool("resources", false, "print per-instruction resource estimates")
 		ver     = flag.Bool("verify", false, "run the verification matrix")
-		sim     = flag.Bool("simbench", false, "benchmark compiled-program vs legacy per-shot simulation")
+		sim     = flag.Bool("simbench", false, "benchmark simulation throughput: T-injection EstimateBatch and Pauli-frame noisy memory")
 		noisy   = flag.Bool("noise", false, "sweep physical vs logical error rates over memory experiments")
 		shots   = flag.Int("shots", 200, "Monte-Carlo shots for -simbench (and -noise, where the default is 1000)")
 		dlist   = flag.String("dlist", "3,5,7,9", "code distances for the resource sweep (-noise defaults to 3,5)")
@@ -82,7 +82,6 @@ func main() {
 		decode  = flag.Bool("decode", false, "with -noise (memory or -surgery sweeps): union-find-decode each shot's syndrome history")
 		surgery = flag.Bool("surgery", false, "with -noise: sweep two-patch ZZ-merge/split cycles (joint-parity error) instead of idle memory")
 		workers = flag.Int("workers", 0, "worker goroutines for the -noise sweep (0 = all cores)")
-		engine  = flag.String("engine", "frame", "sampling engine for the -noise sweep: frame (Pauli-frame, default), sliced (bit-sliced tableau) or rowmajor (row-major reference tableau)")
 		jsonOut = flag.Bool("json", false, "with -simbench, -noise or -surgery: emit results as JSON (benchmark records, or the full run manifest) instead of the table")
 		metOut  = flag.String("metrics", "", "with a noise sweep: write the structured run manifest (provenance, spans, per-point metrics) to this JSON file")
 		promOut = flag.String("prom", "", "with a noise sweep: write the aggregated run metrics in Prometheus text exposition format to this file")
@@ -109,9 +108,6 @@ func main() {
 	}
 	if *workers < 0 {
 		usageErr(fmt.Sprintf("-workers must be ≥ 0 (0 = all cores), got %d", *workers))
-	}
-	if err := validateEngine(*engine); err != nil {
-		usageErr(err.Error())
 	}
 	// -surgery on its own runs the noise sweep over surgery cycles, so every
 	// sweep-only flag accepts either spelling.
@@ -206,7 +202,7 @@ func main() {
 		})
 		runNoiseSweep(sweepConfig{
 			ds: ds, ps: plistVals, rounds: *rounds, shots: nshots,
-			seed: *seed, workers: *workers, model: *model, engine: *engine,
+			seed: *seed, workers: *workers, model: *model,
 			decode: *decode, surgery: *surgery,
 			json: *jsonOut, metricsFile: *metOut, promFile: *promOut,
 			diag: *diagOut, demCalib: *calOut, progress: progress.dest,
@@ -255,15 +251,6 @@ func (p *progressFlag) Set(v string) error {
 	return nil
 }
 
-// validateEngine checks the -engine selection names a known sampler.
-func validateEngine(engine string) error {
-	switch engine {
-	case "frame", "sliced", "rowmajor":
-		return nil
-	}
-	return fmt.Errorf("-engine must be frame, sliced or rowmajor, got %q", engine)
-}
-
 // sweepConfig bundles the -noise sweep's flags.
 type sweepConfig struct {
 	ds          []int
@@ -273,7 +260,6 @@ type sweepConfig struct {
 	seed        int64
 	workers     int
 	model       string
-	engine      string
 	decode      bool
 	surgery     bool
 	json        bool   // emit the run manifest to stdout instead of the table
@@ -282,12 +268,6 @@ type sweepConfig struct {
 	diag        bool   // print + record per-channel error-budget attribution
 	demCalib    bool   // print + record per-detector calibration residuals
 	progress    string // NDJSON progress destination: "", "stderr" or a path
-}
-
-// metricSampler is the slice of the RecordSampler implementations the sweep
-// needs back: merged per-run sampler counters at quiescence.
-type metricSampler interface {
-	Metrics() *telemetry.Snapshot
 }
 
 // runNoiseSweep estimates logical error rates across code distances and
@@ -324,7 +304,7 @@ func runNoiseSweep(cfg sweepConfig) {
 	}
 	man.Config = map[string]any{
 		"workload": workload, "model": cfg.model, "shots": cfg.shots,
-		"seed": cfg.seed, "workers": cfg.workers, "engine": cfg.engine,
+		"seed": cfg.seed, "workers": cfg.workers,
 		"decode": cfg.decode, "rounds": cfg.rounds,
 	}
 	// The progress stream is shared by every point of the sweep; point labels
@@ -352,8 +332,8 @@ func runNoiseSweep(cfg sweepConfig) {
 		if cfg.decode {
 			mode = "union-find decoded syndrome history"
 		}
-		fmt.Printf("model=%s, shots=%d/point, seed=%d, engine=%s (%s)\n",
-			cfg.model, cfg.shots, cfg.seed, cfg.engine, mode)
+		fmt.Printf("model=%s, shots=%d/point, seed=%d (%s)\n",
+			cfg.model, cfg.shots, cfg.seed, mode)
 	}
 	for _, d := range cfg.ds {
 		r := cfg.rounds
@@ -428,26 +408,18 @@ func runNoiseSweep(cfg sweepConfig) {
 			var pw *diag.ProgressWriter
 			if progW != nil {
 				pw = diag.NewProgressWriter(progW,
-					fmt.Sprintf("%s d=%d %s engine=%s", workload, d, pointLabel, cfg.engine),
+					fmt.Sprintf("%s d=%d %s", workload, d, pointLabel),
 					cfg.shots)
 				opt.Progress = pw.Batch
 			}
-			var sampler metricSampler
-			switch cfg.engine {
-			case "frame":
-				sim, err := frame.New(prog, sched)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "noise sweep:", err)
-					return
-				}
-				opt.Sampler, sampler = sim, sim
-			case "sliced":
-				es := &noise.EngineSampler{S: sched}
-				opt.Sampler, sampler = es, es
-			case "rowmajor":
-				es := &noise.EngineSampler{S: sched, RowMajor: true}
-				opt.Sampler, sampler = es, es
+			// The workloads are Clifford: sample on the Pauli-frame engine,
+			// set explicitly so its merged counters land in the manifest.
+			sim, err := frame.New(prog, sched)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "noise sweep:", err)
+				return
 			}
+			opt.Sampler = sim
 			var g *decoder.Graph
 			if cfg.decode {
 				endGraph := sp.Start("decoder-compile")
@@ -477,7 +449,7 @@ func runNoiseSweep(cfg sweepConfig) {
 			}
 			labels := map[string]any{
 				"workload": workload, "d": d, "rounds": r,
-				"model": m.Name, "engine": cfg.engine, "decoded": cfg.decode,
+				"model": m.Name, "decoded": cfg.decode,
 			}
 			if cfg.model != "table5" {
 				labels["p"] = m.P1
@@ -485,7 +457,7 @@ func runNoiseSweep(cfg sweepConfig) {
 			metrics := map[string]*telemetry.Snapshot{
 				"program": prog.Metrics(),
 				"noise":   sched.Metrics(),
-				"sampler": sampler.Metrics(),
+				"sampler": sim.Metrics(),
 			}
 			if g != nil {
 				metrics["decoder"] = g.Metrics()
@@ -655,13 +627,14 @@ func timeShots(name, engine string, d, shots int, fn func()) benchRecord {
 	}
 }
 
-// runSimBench times the Monte-Carlo verification hot path (a d×d T-state
-// injection estimated over N shots) on the legacy per-shot RunOnce loop and
-// on the compile-once/run-many batch runner, and prints the speedup. With
-// jsonOut the measurements are emitted as a JSON array instead.
+// runSimBench times the two production sampling paths: the Monte-Carlo
+// verification hot path (a d×d T-state injection — non-Clifford, so it runs
+// on the bit-sliced tableau pool — estimated over N shots at 1 and all
+// workers) and noisy memory-experiment shots on the batch Pauli-frame
+// sampler. With jsonOut the measurements are emitted as a JSON array instead.
 func runSimBench(d, shots int, jsonOut bool) {
 	if !jsonOut {
-		fmt.Printf("== Simulation throughput: compiled program vs legacy (d=%d, %d shots) ==\n", d, shots)
+		fmt.Printf("== Simulation throughput (d=%d, %d shots) ==\n", d, shots)
 	}
 	c := core.NewCompiler(d+8, d+7, hardware.Default())
 	lq, err := c.NewLogicalQubit(d, d, core.Cell{R: 1, C: 2})
@@ -671,56 +644,28 @@ func runSimBench(d, shots int, jsonOut bool) {
 	}
 	lq.InjectState(core.InjectT)
 	site, _ := c.SitePauli(lq.GeoRep(core.LogicalX))
-	circ := c.Build()
-
-	var recs []benchRecord
-	var sum float64
-	var runErr error
-	legacy := timeShots("legacy RunOnce loop", "sliced", d, shots, func() {
-		for s := 0; s < shots; s++ {
-			eng, err := orqcs.RunOnce(circ, int64(s)*7919+1)
-			if err != nil {
-				runErr = err
-				return
-			}
-			v, err := eng.Expectation(site)
-			if err != nil {
-				runErr = err
-				return
-			}
-			sum += eng.Weight() * v
-		}
-	})
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", runErr)
-		return
-	}
-	recs = append(recs, legacy)
-	if !jsonOut {
-		fmt.Printf("  legacy per-shot RunOnce loop   %10v  (%.0f shots/s, mean %.4f)\n",
-			legacy.duration(), legacy.ShotsPerSec, sum/float64(shots))
-	}
 
 	t0 := time.Now()
-	prog, err := orqcs.Compile(circ)
+	prog, err := orqcs.Compile(c.Build())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
 		return
 	}
 	compileTime := time.Since(t0)
+	var recs []benchRecord
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		var mean, stderr float64
 		rec := timeShots(fmt.Sprintf("EstimateBatch workers=%d", workers), "sliced", d, shots, func() {
-			mean, stderr, runErr = orqcs.EstimateBatch(prog, site, shots, 1, workers)
+			mean, stderr, err = orqcs.EstimateBatch(prog, site, shots, 1, workers)
 		})
-		if runErr != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", runErr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "simbench:", err)
 			return
 		}
 		recs = append(recs, rec)
 		if !jsonOut {
-			fmt.Printf("  EstimateBatch (%d worker(s))    %10v  (%.0f shots/s, mean %.4f ± %.4f, %.1f× legacy)\n",
-				workers, rec.duration(), rec.ShotsPerSec, mean, stderr, legacy.Seconds/rec.Seconds)
+			fmt.Printf("  EstimateBatch (%d worker(s))    %10v  (%.0f shots/s, mean %.4f ± %.4f)\n",
+				workers, rec.duration(), rec.ShotsPerSec, mean, stderr)
 		}
 	}
 	if !jsonOut {
@@ -728,34 +673,25 @@ func runSimBench(d, shots int, jsonOut bool) {
 			compileTime, prog.NumInstrs(), prog.NumQubits(), prog.NumTGates())
 	}
 
-	// Fault-injection overhead: the noisy per-shot loop (depolarizing
-	// p=1e-3 schedule interleaved with the instruction stream) against the
-	// noiseless loop on the same engine. The acceptance target is ≤ 2×.
-	eng := orqcs.NewFromProgram(prog)
-	clean := timeShots("noiseless RunShot loop", "sliced", d, shots, func() {
-		for s := 0; s < shots; s++ {
-			eng.RunShot(orqcs.ShotSeed(1, s))
-		}
-	})
-	sched := noise.Compile(noise.Depolarizing(1e-3), prog)
-	noisy := timeShots("noisy RunShot loop p=1e-3", "sliced", d, shots, func() {
-		for s := 0; s < shots; s++ {
-			sched.RunShot(eng, orqcs.ShotSeed(1, s))
-		}
-	})
-	recs = append(recs, clean, noisy)
-	if !jsonOut {
-		fmt.Printf("  noiseless RunShot loop         %10v  (%.0f shots/s)\n",
-			clean.duration(), clean.ShotsPerSec)
-		fmt.Printf("  noisy RunShot loop (p=1e-3)    %10v  (%.0f shots/s, %.2f× noiseless, %d fault sites)\n",
-			noisy.duration(), noisy.ShotsPerSec, noisy.Seconds/clean.Seconds, sched.NumFaultSites())
+	// Noisy memory experiment (depolarizing p=1e-3) on the Pauli-frame
+	// sampler, one reused 64-shot batch.
+	mem, err := verify.MemoryExperiment(d, d, pauli.Z)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simbench:", err)
+		return
 	}
-
-	// Engine comparison: the row-major reference, the bit-sliced tableau
-	// and the batch Pauli-frame sampler on a noisy memory-experiment
-	// workload. All three produce bit-identical records per seed; only
-	// throughput (and allocation behaviour) differs.
-	recs = append(recs, runEngineBench(d, shots, jsonOut)...)
+	sim, err := frame.New(mem.Prog, noise.Compile(noise.Depolarizing(1e-3), mem.Prog))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simbench:", err)
+		return
+	}
+	bt := sim.NewBatch()
+	fr := timeShots("noisy memory", "frame", d, shots, func() {
+		for s := 0; s < shots; s += 64 {
+			bt.Run(s, min(shots-s, 64), 1)
+		}
+	})
+	recs = append(recs, fr)
 	if jsonOut {
 		out := struct {
 			Provenance telemetry.Provenance `json:"provenance"`
@@ -768,51 +704,9 @@ func runSimBench(d, shots int, jsonOut bool) {
 		}
 		return
 	}
+	fmt.Printf("  Pauli-frame noisy memory (d=%d) %10v  (%.0f shots/s, %.2f allocs/shot)\n",
+		d, fr.duration(), fr.ShotsPerSec, fr.AllocsPerShot)
 	fmt.Println()
-}
-
-// runEngineBench times noisy memory-experiment shots on the row-major,
-// bit-sliced and Pauli-frame engines and prints the relative speedups.
-func runEngineBench(d, shots int, jsonOut bool) []benchRecord {
-	mem, err := verify.MemoryExperiment(d, d, pauli.Z)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return nil
-	}
-	sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
-	bench1 := func(engine string, e *orqcs.Engine) benchRecord {
-		return timeShots("noisy memory", engine, d, shots, func() {
-			for s := 0; s < shots; s++ {
-				sched.RunShot(e, orqcs.ShotSeed(1, s))
-			}
-		})
-	}
-	rm := bench1("rowmajor", orqcs.NewFromProgramRowMajor(mem.Prog))
-	sl := bench1("sliced", orqcs.NewFromProgram(mem.Prog))
-	sim, err := frame.New(mem.Prog, sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return []benchRecord{rm, sl}
-	}
-	bt := sim.NewBatch()
-	fr := timeShots("noisy memory", "frame", d, shots, func() {
-		for s := 0; s < shots; s += 64 {
-			n := shots - s
-			if n > 64 {
-				n = 64
-			}
-			bt.Run(s, n, 1)
-		}
-	})
-	if !jsonOut {
-		fmt.Printf("  row-major noisy memory (d=%d)   %10v  (%.0f shots/s)\n",
-			d, rm.duration(), rm.ShotsPerSec)
-		fmt.Printf("  bit-sliced noisy memory (d=%d)  %10v  (%.0f shots/s, %.2f× row-major)\n",
-			d, sl.duration(), sl.ShotsPerSec, rm.Seconds/sl.Seconds)
-		fmt.Printf("  Pauli-frame noisy memory (d=%d) %10v  (%.0f shots/s, %.1f× bit-sliced, %.2f allocs/shot)\n",
-			d, fr.duration(), fr.ShotsPerSec, sl.Seconds/fr.Seconds, fr.AllocsPerShot)
-	}
-	return []benchRecord{rm, sl, fr}
 }
 
 func parseInts(s string) ([]int, error) {

@@ -38,7 +38,7 @@ func (s *Sim) SampleRecords(shots int, seed int64, workers int, visit func(shot 
 
 // runBatches drives 64-shot batches through a worker pool, calling fold
 // after every completed batch (concurrently across workers, each worker
-// reusing one Batch). The pool mirrors orqcs.RunShotsEngines: an atomic
+// reusing one Batch). The pool mirrors orqcs.RunShotsRange: an atomic
 // batch cursor, first visit error wins, every lane still seeded per shot.
 func (s *Sim) runBatches(shots int, seed int64, workers int, fold func(b *Batch) error) error {
 	if shots <= 0 {

@@ -8,7 +8,6 @@ import (
 
 	"tiscc/internal/expr"
 	"tiscc/internal/orqcs"
-	"tiscc/internal/telemetry"
 )
 
 // OptionError reports an invalid Options field in one consistent format,
@@ -37,7 +36,8 @@ type Options struct {
 	// TargetStdErr, when positive, stops the run early once the estimate's
 	// Wilson-interval standard error (half-width / z) drops to the target.
 	// The decision is taken only at Batch boundaries, so early-stopped runs
-	// are an exact prefix of the full run and stay deterministic.
+	// are an exact prefix of the full run and stay deterministic. Values
+	// ≤ 0 (−Inf included) disable early stopping; NaN and +Inf are rejected.
 	TargetStdErr float64
 	// Batch is the early-stopping check granularity in shots (default 256).
 	Batch int
@@ -85,45 +85,6 @@ type ShotObserver interface {
 // call; a non-nil visit error stops the run and is returned.
 type RecordSampler interface {
 	SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error
-}
-
-// EngineSampler adapts the tableau shot loop to the RecordSampler contract,
-// so engine selection stays uniform for callers that switch between the
-// frame engine and a tableau reference. RowMajor selects the row-major
-// tableau.T engine instead of the default bit-sliced one. Each worker's
-// engine registers a telemetry shard, so Metrics reports the merged sampler
-// counters of every SampleRecords run. Runs must not overlap on one sampler.
-type EngineSampler struct {
-	S        *Schedule
-	RowMajor bool
-	met      *telemetry.Set
-}
-
-// SampleRecords implements RecordSampler on the deterministic tableau pool.
-func (es *EngineSampler) SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error {
-	if es.met == nil {
-		es.met = telemetry.NewSet(orqcs.SamplerSchema)
-	}
-	mk0 := orqcs.NewFromProgram
-	if es.RowMajor {
-		mk0 = orqcs.NewFromProgramRowMajor
-	}
-	mk := func(p *orqcs.Program) *orqcs.Engine {
-		e := mk0(p)
-		e.SetTelemetry(es.met.NewShard())
-		return e
-	}
-	return orqcs.RunShotsEngines(es.S.prog, 0, shots, seed, workers, mk, es.S.RunShot,
-		func(i int, e *orqcs.Engine) error { return visit(i, e.Records()) })
-}
-
-// Metrics merges the sampler counters of all completed runs. Only call at
-// quiescence (no SampleRecords in flight).
-func (es *EngineSampler) Metrics() *telemetry.Snapshot {
-	if es.met == nil {
-		es.met = telemetry.NewSet(orqcs.SamplerSchema)
-	}
-	return es.met.Snapshot()
 }
 
 // Decoder turns one noisy shot's measurement-record table into a corrected
@@ -224,6 +185,9 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	}
 	if opt.Batch < 0 {
 		return Result{}, &OptionError{Op: op, Field: "Batch", Value: opt.Batch, Constraint: "must be ≥ 0"}
+	}
+	if math.IsNaN(opt.TargetStdErr) || math.IsInf(opt.TargetStdErr, 1) {
+		return Result{}, &OptionError{Op: op, Field: "TargetStdErr", Value: opt.TargetStdErr, Constraint: "must be finite (≤ 0 disables early stopping)"}
 	}
 	// judge reports whether one finished shot's logical outcome disagrees
 	// with the noiseless reference: via the decoder when one is configured,

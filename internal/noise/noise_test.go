@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -294,6 +295,32 @@ func TestEarlyStopping(t *testing.T) {
 	}
 	if recount.Errors != early.Errors {
 		t.Fatalf("early-stopped run is not a prefix: %d vs %d errors", early.Errors, recount.Errors)
+	}
+}
+
+// TestTargetStdErrValidation checks that a NaN or +Inf target is rejected
+// as an OptionError instead of stopping at the first batch (+Inf) or folding
+// forever without stopping (NaN), while 0 and −Inf keep meaning "off".
+func TestTargetStdErrValidation(t *testing.T) {
+	prog, rec := singleQubitMemory(t, 2)
+	s := Compile(Model{P1: 0.05}, prog)
+	for _, target := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := EstimateLogicalError(s, expr.FromID(rec), false,
+			Options{Shots: 1000, Seed: 1, TargetStdErr: target, Batch: 100})
+		var oe *OptionError
+		if !errors.As(err, &oe) || oe.Field != "TargetStdErr" {
+			t.Fatalf("TargetStdErr=%v: want an OptionError on TargetStdErr, got %v", target, err)
+		}
+	}
+	for _, target := range []float64{0, math.Inf(-1)} {
+		r, err := EstimateLogicalError(s, expr.FromID(rec), false,
+			Options{Shots: 1000, Seed: 1, TargetStdErr: target, Batch: 100})
+		if err != nil {
+			t.Fatalf("TargetStdErr=%v rejected: %v", target, err)
+		}
+		if r.Shots != 1000 || r.EarlyStopBatch != 0 {
+			t.Fatalf("TargetStdErr=%v stopped early: %+v", target, r)
+		}
 	}
 }
 

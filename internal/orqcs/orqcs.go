@@ -140,8 +140,8 @@ func (s *shotSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // start in |0⟩). One engine runs any number of shots via RunShot; engines
 // are not safe for concurrent use, but any number of engines may share one
 // Program. The stabilizer state is the bit-sliced tableau.Sliced: shot
-// outcomes are bit-identical to the row-major engine's
-// (NewFromProgramRowMajor) for every seed, just faster.
+// outcomes are bit-identical to the row-major tableau.T engine's for every
+// seed, just faster.
 func NewFromProgram(p *Program) *Engine {
 	src := &shotSource{}
 	rng := rand.New(src)
@@ -155,9 +155,9 @@ func NewFromProgram(p *Program) *Engine {
 	}
 }
 
-// NewFromProgramRowMajor is NewFromProgram on the row-major tableau.T state:
-// the reference engine for differential cross-validation of the bit-sliced
-// transpose (and a fallback while comparing representations).
+// NewFromProgramRowMajor is NewFromProgram on the row-major tableau.T state.
+// It is a test oracle only: the differential tests and benchmarks use it to
+// cross-validate the bit-sliced transpose, and no production path selects it.
 func NewFromProgramRowMajor(p *Program) *Engine {
 	src := &shotSource{}
 	rng := rand.New(src)

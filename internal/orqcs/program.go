@@ -393,13 +393,6 @@ func RunShots(p *Program, shots int, seed int64, workers int, visit func(shot in
 // noiseless Engine.RunShot as the per-shot executor (fault injection hooks
 // in here).
 func RunShotsRange(p *Program, first, count int, seed int64, workers int, run ShotFunc, visit func(shot int, e *Engine) error) error {
-	return RunShotsEngines(p, first, count, seed, workers, NewFromProgram, run, visit)
-}
-
-// RunShotsEngines is RunShotsRange with a pluggable per-worker engine
-// constructor (NewFromProgram or NewFromProgramRowMajor), so engine selection
-// composes with the deterministic pool instead of forking it.
-func RunShotsEngines(p *Program, first, count int, seed int64, workers int, mk func(*Program) *Engine, run ShotFunc, visit func(shot int, e *Engine) error) error {
 	if count <= 0 {
 		return nil
 	}
@@ -417,7 +410,7 @@ func RunShotsEngines(p *Program, first, count int, seed int64, workers int, mk f
 		}
 	}
 	if workers == 1 {
-		e := mk(p)
+		e := NewFromProgram(p)
 		for i := first; i < first+count; i++ {
 			oneShot(e, i)
 			if visit != nil {
@@ -439,7 +432,7 @@ func RunShotsEngines(p *Program, first, count int, seed int64, workers int, mk f
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := mk(p)
+			e := NewFromProgram(p)
 			for !stop.Load() {
 				i := first + int(next.Add(1)) - 1
 				if i >= first+count {
@@ -594,7 +587,7 @@ func (s *Stats) MeanStderr(j int) (mean, stderr float64) { return s.st.meanStder
 // the streaming reduction folds values in shot order so that the returned
 // mean and standard error are bit-identical for every worker count.
 func EstimateBatch(p *Program, op SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
-	means, stderrs, err := EstimateMany(p, []SitePauli{op}, shots, seed, workers)
+	means, stderrs, err := estimateMany("EstimateBatch", p, nil, []SitePauli{op}, shots, seed, workers)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -608,21 +601,21 @@ func EstimateBatch(p *Program, op SitePauli, shots int, seed int64, workers int)
 // deterministic in (shots, seed) for every worker count, and memory is
 // independent of the shot count (streaming Kahan reduction).
 func EstimateMany(p *Program, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
-	return EstimateManyFunc(p, nil, ops, shots, seed, workers)
+	return estimateMany("EstimateMany", p, nil, ops, shots, seed, workers)
 }
 
 // EstimateManyFunc is EstimateMany with a pluggable per-shot executor: a
 // non-nil run (e.g. a noise schedule's fault-injecting shot loop) replaces
 // the noiseless Engine.RunShot.
 func EstimateManyFunc(p *Program, run ShotFunc, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
-	return EstimateManyEngines(p, NewFromProgram, run, ops, shots, seed, workers)
+	return estimateMany("EstimateManyFunc", p, run, ops, shots, seed, workers)
 }
 
-// EstimateManyEngines is EstimateManyFunc with a pluggable per-worker engine
-// constructor, mirroring RunShotsEngines.
-func EstimateManyEngines(p *Program, mk func(*Program) *Engine, run ShotFunc, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
+// estimateMany is the shared body of the Estimate entry points; entry names
+// the exported function called, for its error messages.
+func estimateMany(entry string, p *Program, run ShotFunc, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
 	if shots <= 0 {
-		return nil, nil, fmt.Errorf("orqcs: EstimateBatch needs shots ≥ 1, got %d", shots)
+		return nil, nil, fmt.Errorf("orqcs: %s needs shots ≥ 1, got %d", entry, shots)
 	}
 	if len(ops) == 0 {
 		return nil, nil, fmt.Errorf("orqcs: no operators to estimate")
@@ -634,7 +627,7 @@ func EstimateManyEngines(p *Program, mk func(*Program) *Engine, run ShotFunc, op
 		}
 	}
 	st := newStreamStats(len(ops))
-	if err := RunShotsEngines(p, 0, shots, seed, workers, mk, run, func(i int, e *Engine) error {
+	if err := RunShotsRange(p, 0, shots, seed, workers, run, func(i int, e *Engine) error {
 		vals := e.scratch(len(ops))
 		for j, ps := range pss {
 			vals[j] = e.weight * e.tb.ExpectationValue(ps)

@@ -240,8 +240,19 @@ func TestEstimateBatchErrors(t *testing.T) {
 	if _, _, err := EstimateBatch(p, SitePauli{{R: 9, C: 9}: pauli.X}, 10, 1, 1); err == nil {
 		t.Fatal("expected error for operator on empty site")
 	}
-	if _, _, err := EstimateBatch(p, SitePauli{}, 0, 1, 1); err == nil {
-		t.Fatal("expected error for zero shots")
+	// The shot-count error names the entry point actually called.
+	op := SitePauli{}
+	for name, call := range map[string]func() error{
+		"EstimateBatch": func() error { _, _, err := EstimateBatch(p, op, 0, 1, 1); return err },
+		"EstimateMany":  func() error { _, _, err := EstimateMany(p, []SitePauli{op}, 0, 1, 1); return err },
+		"EstimateManyFunc": func() error {
+			_, _, err := EstimateManyFunc(p, nil, []SitePauli{op}, 0, 1, 1)
+			return err
+		},
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "orqcs: "+name+" needs shots") {
+			t.Fatalf("%s with zero shots: got %v", name, err)
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"tiscc/internal/core"
 	"tiscc/internal/decoder"
 	"tiscc/internal/expr"
+	"tiscc/internal/frame"
 	"tiscc/internal/grid"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
@@ -311,14 +312,36 @@ func EstimateLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptio
 	if err != nil {
 		return LogicalErrorResult{}, err
 	}
-	return noise.EstimateLogicalError(noise.Compile(m, mem.Prog), mem.Outcome, mem.Reference, opt)
+	return estimate(noise.Compile(m, mem.Prog), mem.Outcome, mem.Reference, opt)
 }
 
 // EstimateLogicalError runs the logical-error estimator over an
 // already-compiled fault schedule and outcome formula — the lower-level
 // entry point behind EstimateLogicalErrorRate, for custom experiments.
 func EstimateLogicalError(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
+	return estimate(s, outcome, reference, opt)
+}
+
+// estimate is the one estimator path behind every facade entry point.
+func estimate(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
+	opt, err := withFrameSampler(s, opt)
+	if err != nil {
+		return LogicalErrorResult{}, err
+	}
 	return noise.EstimateLogicalError(s, outcome, reference, opt)
+}
+
+// withFrameSampler makes Clifford programs sample on the Pauli-frame engine
+// (records bit-identical to the tableau pool, at a fraction of the cost)
+// unless the caller supplied a Sampler; non-Clifford programs keep the
+// estimator's tableau pool.
+func withFrameSampler(s *FaultSchedule, opt LogicalErrorOptions) (LogicalErrorOptions, error) {
+	if opt.Sampler != nil || !s.Program().Clifford() {
+		return opt, nil
+	}
+	sim, err := frame.New(s.Program(), s)
+	opt.Sampler = sim
+	return opt, err
 }
 
 // --- Syndrome decoding --------------------------------------------------------
@@ -363,7 +386,7 @@ func EstimateDecodedLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErr
 		return LogicalErrorResult{}, err
 	}
 	opt.Decoder = g
-	return noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, opt)
+	return estimate(sched, mem.Outcome, mem.Reference, opt)
 }
 
 // WriteDetectorErrorModel writes the Stim-compatible detector error model of
@@ -440,7 +463,7 @@ func EstimateDecodedSurgeryErrorRate(d, rounds int, m NoiseModel, opt LogicalErr
 		return LogicalErrorResult{}, err
 	}
 	opt.Decoder = g
-	return noise.EstimateLogicalError(sched, s.Outcome, s.Reference, opt)
+	return estimate(sched, s.Outcome, s.Reference, opt)
 }
 
 // WriteSurgeryDetectorErrorModel writes the Stim-compatible detector error

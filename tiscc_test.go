@@ -1,10 +1,12 @@
 package tiscc_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"tiscc"
+	"tiscc/internal/noise"
 )
 
 // TestFacadeQuickstart exercises the documented public-API workflow.
@@ -343,6 +345,89 @@ func TestFacadeDecodedSurgery(t *testing.T) {
 	}
 	if _, err := tiscc.ExtractSurgeryDetectors(s); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failingSampler is a caller-supplied RecordSampler that fails every run.
+type failingSampler struct{ err error }
+
+func (f failingSampler) SampleRecords(int, int64, int, func(int, map[int32]bool) error) error {
+	return f.err
+}
+
+// TestFacadeFrameMatchesTableauOracle pins the facade's automatic
+// Pauli-frame sampler against the tableau pool (the estimator's nil-Sampler
+// path): every Result must be equal at 1 and 4 workers and for an
+// early-stopped run, and a caller-supplied Sampler must be used as given.
+func TestFacadeFrameMatchesTableauOracle(t *testing.T) {
+	const d, rounds = 3, 3
+	m := tiscc.DepolarizingNoise(3e-3)
+	mem, err := tiscc.CompileMemoryExperiment(d, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memSched := tiscc.CompileNoise(m, mem.Prog)
+	memGraph, err := tiscc.CompileDecoder(mem, memSched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surg, err := tiscc.CompileSurgeryExperiment(d, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surgSched := tiscc.CompileNoise(m, surg.Prog)
+	surgGraph, err := tiscc.CompileSurgeryDecoder(surg, surgSched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		facade    func(tiscc.LogicalErrorOptions) (tiscc.LogicalErrorResult, error)
+		sched     *tiscc.FaultSchedule
+		outcome   tiscc.Expr
+		reference bool
+		decoder   noise.Decoder // nil for the raw readout
+	}{
+		{"raw-memory", func(o tiscc.LogicalErrorOptions) (tiscc.LogicalErrorResult, error) {
+			return tiscc.EstimateLogicalErrorRate(d, rounds, m, o)
+		}, memSched, mem.Outcome, mem.Reference, nil},
+		{"decoded-memory", func(o tiscc.LogicalErrorOptions) (tiscc.LogicalErrorResult, error) {
+			return tiscc.EstimateDecodedLogicalErrorRate(d, rounds, m, o)
+		}, memSched, mem.Outcome, mem.Reference, memGraph},
+		{"decoded-surgery", func(o tiscc.LogicalErrorOptions) (tiscc.LogicalErrorResult, error) {
+			return tiscc.EstimateDecodedSurgeryErrorRate(d, rounds, m, o)
+		}, surgSched, surg.Outcome, surg.Reference, surgGraph},
+	}
+	opts := []tiscc.LogicalErrorOptions{
+		{Shots: 600, Seed: 5, Workers: 1},
+		{Shots: 600, Seed: 5, Workers: 4},
+		{Shots: 4000, Seed: 5, Workers: 4, TargetStdErr: 0.01, Batch: 128},
+	}
+	for _, tc := range cases {
+		for _, opt := range opts {
+			got, err := tc.facade(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := opt
+			oracle.Decoder = tc.decoder
+			want, err := noise.EstimateLogicalError(tc.sched, tc.outcome, tc.reference, oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s %+v: facade %+v differs from tableau oracle %+v", tc.name, opt, got, want)
+			}
+			if opt.TargetStdErr > 0 && want.EarlyStopBatch == 0 {
+				t.Fatalf("%s: early-stopping case ran to the shot cap: %+v", tc.name, want)
+			}
+		}
+	}
+	sentinel := errors.New("caller-supplied sampler")
+	_, err = tiscc.EstimateDecodedLogicalErrorRate(d, rounds, m,
+		tiscc.LogicalErrorOptions{Shots: 64, Seed: 5, Sampler: failingSampler{sentinel}})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("caller-supplied Sampler was replaced: got err %v", err)
 	}
 }
 
