@@ -46,25 +46,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/decoder"
-	"tiscc/internal/diag"
-	"tiscc/internal/expr"
 	"tiscc/internal/frame"
 	"tiscc/internal/grid"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
+	"tiscc/internal/point"
 	"tiscc/internal/telemetry"
-	"tiscc/internal/verify"
 )
 
 func main() {
@@ -86,7 +82,7 @@ func main() {
 		diagOut = flag.Bool("diag", false, "with a noisy -memory/-surgery run: print the per-channel error-budget attribution table (and record it in the manifest)")
 		calOut  = flag.Bool("dem-calib", false, "with a decoded noisy -memory/-surgery run: print per-detector observed vs DEM-predicted fire rates with calibration residuals")
 	)
-	var progress progressFlag
+	var progress point.ProgressFlag
 	flag.Var(&progress, "progress", "with a noisy -memory/-surgery run: stream NDJSON batch progress events (bare -progress → stderr, -progress=FILE → file)")
 	flag.Parse()
 	if *memory != "" && *surgery != "" {
@@ -105,7 +101,7 @@ func main() {
 	if *calOut && (!exp || *noiseP == 0 || !*decode) {
 		usageErr("-dem-calib requires a decoded noisy experiment (-memory or -surgery with -noise and -decode)")
 	}
-	if progress.dest != "" && (!exp || *noiseP == 0) {
+	if progress.Dest != "" && (!exp || *noiseP == 0) {
 		usageErr("-progress requires -memory or -surgery with -noise")
 	}
 	// Validate every numeric flag up front: invalid inputs must exit with a
@@ -121,13 +117,13 @@ func main() {
 		usageErr(fmt.Sprintf("-workers must be ≥ 0 (0 = GOMAXPROCS), got %d", *workers))
 	}
 	eo := estOpts{metricsFile: *metOut, promFile: *promOut,
-		diag: *diagOut, demCalib: *calOut, progress: progress.dest}
+		diag: *diagOut, demCalib: *calOut, progress: progress}
 	if *memory != "" {
-		runMemory(*memory, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse)
+		runExperiment(point.WorkloadMemory, *memory, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse)
 		return
 	}
 	if *surgery != "" {
-		runSurgery(*surgery, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse)
+		runExperiment(point.WorkloadSurgery, *surgery, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse)
 		return
 	}
 	if *file == "" {
@@ -157,8 +153,8 @@ func main() {
 	}
 	var sched *noise.Schedule
 	if *noiseP != 0 {
-		m := noise.Depolarizing(*noiseP)
-		if err := m.Validate(); err != nil {
+		m, err := point.Model(point.ModelDepolarizing, *noiseP)
+		if err != nil {
 			fatal(err)
 		}
 		sched = noise.Compile(m, prog)
@@ -211,8 +207,9 @@ func main() {
 
 // parseDSpec parses and validates a d or d:rounds experiment spec (rounds
 // defaults to d): the distance must be a code distance the compiler accepts
-// (≥ 2) and the round count non-negative, so bad specs exit with a usage
-// error instead of a grid-construction panic deep in the compiler.
+// (≥ 2) and the round count non-negative — at least 1 for -surgery, whose
+// merge needs a merged round — so bad specs exit with a usage error instead
+// of a failure deep in the compiler.
 func parseDSpec(flagName, spec string) (d, rounds int, err error) {
 	parts := strings.SplitN(spec, ":", 2)
 	d, err = strconv.Atoi(strings.TrimSpace(parts[0]))
@@ -231,38 +228,19 @@ func parseDSpec(flagName, spec string) (d, rounds int, err error) {
 	if rounds < 0 {
 		return 0, 0, fmt.Errorf("bad -%s %q: rounds must be ≥ 0, got %d", flagName, spec, rounds)
 	}
+	if flagName == point.WorkloadSurgery && rounds < 1 {
+		return 0, 0, fmt.Errorf("bad -%s %q: merged rounds must be ≥ 1, got %d", flagName, spec, rounds)
+	}
 	return d, rounds, nil
 }
 
 // estOpts bundles the estimation pipeline's observability outputs.
 type estOpts struct {
-	metricsFile string // run manifest destination ("" = none)
-	promFile    string // Prometheus text exposition destination ("" = none)
-	diag        bool   // print + record per-channel error-budget attribution
-	demCalib    bool   // print + record per-detector calibration residuals
-	progress    string // NDJSON progress destination: "", "stderr" or a path
-}
-
-// progressFlag is the -progress destination: a boolean-style flag (bare
-// -progress streams to stderr) that also accepts -progress=FILE.
-type progressFlag struct {
-	dest string // "" disabled, "stderr", or a file path
-}
-
-func (p *progressFlag) String() string { return p.dest }
-
-func (p *progressFlag) IsBoolFlag() bool { return true }
-
-func (p *progressFlag) Set(v string) error {
-	switch v {
-	case "", "true":
-		p.dest = "stderr"
-	case "false", "0":
-		p.dest = ""
-	default:
-		p.dest = v
-	}
-	return nil
+	metricsFile string             // run manifest destination ("" = none)
+	promFile    string             // Prometheus text exposition destination ("" = none)
+	diag        bool               // print + record per-channel error-budget attribution
+	demCalib    bool               // print + record per-detector calibration residuals
+	progress    point.ProgressFlag // NDJSON progress destination
 }
 
 // estimateOp estimates one Pauli operator over a multi-shot run. Clifford
@@ -311,106 +289,44 @@ func usageErr(msg string) {
 	os.Exit(2)
 }
 
-// experiment is what the shared -memory/-surgery estimation pipeline needs
-// from a compiled workload: the lowered program, the outcome formula judged
-// per shot, and the workload-specific detector extraction.
-type experiment struct {
-	prog      *orqcs.Program
-	outcome   expr.Expr
-	reference bool
-	extract   func() (*decoder.Detectors, error)
-	rawLabel  string
-	labels    map[string]any   // manifest point coordinates (workload, d, rounds)
-	spans     *telemetry.Spans // stage spans, started before compilation
+// experimentText is each experiment flag's stdout wording: the compile
+// header (formatted with d and rounds) and the raw-readout label.
+var experimentText = map[string]struct{ header, raw string }{
+	point.WorkloadMemory:  {"memory experiment d=%d rounds=%d", "raw readout"},
+	point.WorkloadSurgery: {"surgery experiment d=%d merged-rounds=%d", "raw joint-parity readout"},
 }
 
-// runMemory compiles a distance-d memory experiment and hands it to the
-// shared estimation pipeline.
-func runMemory(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool) {
-	d, rounds, err := parseDSpec("memory", spec)
+// runExperiment compiles the -memory or -surgery experiment (workload) from
+// its d[:rounds] spec, writes its detector error model if requested, then
+// estimates the (optionally union-find-decoded) logical error rate under
+// depolarizing noise, and writes the run manifest / Prometheus exposition /
+// diagnostics reports the estimation options request. For surgery the
+// estimated quantity is the joint parity (final Z̄Z̄ readout against the
+// merge outcome).
+func runExperiment(workload, spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool) {
+	d, rounds, err := parseDSpec(workload, spec)
 	if err != nil {
 		usageErr(err.Error())
 	}
 	sp := telemetry.NewSpans()
-	endCompile := sp.Start("compile")
-	mem, err := verify.MemoryExperiment(d, rounds, pauli.Z)
+	e, err := point.Compile(sp, workload, d, rounds, fuse)
 	if err != nil {
 		fatal(err)
 	}
-	if fuse {
-		// Fusion preserves shot outcomes bit-for-bit, so the experiment's
-		// outcome formula and reference stay valid on the fused program.
-		mem.Prog = mem.Prog.FuseRotations()
-	}
-	endCompile()
-	fmt.Printf("memory experiment d=%d rounds=%d: %d qubits, %d instructions\n",
-		d, rounds, mem.Prog.NumQubits(), mem.Prog.NumInstrs())
-	runExperiment(experiment{
-		prog:      mem.Prog,
-		outcome:   mem.Outcome,
-		reference: mem.Reference,
-		extract:   func() (*decoder.Detectors, error) { return decoder.Extract(mem) },
-		rawLabel:  "raw readout",
-		labels:    map[string]any{"workload": "memory", "d": d, "rounds": rounds},
-		spans:     sp,
-	}, noiseP, decode, demFile, eo, shots, seed, workers)
-}
-
-// runSurgery compiles a distance-d two-patch ZZ-merge/split cycle and hands
-// it to the shared estimation pipeline; the estimated quantity is the joint
-// parity (final Z̄Z̄ readout against the merge outcome).
-func runSurgery(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool) {
-	d, rounds, err := parseDSpec("surgery", spec)
-	if err != nil {
-		usageErr(err.Error())
-	}
-	sp := telemetry.NewSpans()
-	endCompile := sp.Start("compile")
-	s, err := verify.SurgeryExperiment(d, 1, rounds, 1, pauli.Z)
+	text := experimentText[workload]
+	fmt.Printf(text.header+": %d qubits, %d instructions\n", d, rounds, e.Prog.NumQubits(), e.Prog.NumInstrs())
+	m, err := point.Model(point.ModelDepolarizing, noiseP)
 	if err != nil {
 		fatal(err)
 	}
-	if fuse {
-		s.Prog = s.Prog.FuseRotations()
-	}
-	endCompile()
-	fmt.Printf("surgery experiment d=%d merged-rounds=%d: %d qubits, %d instructions\n",
-		d, rounds, s.Prog.NumQubits(), s.Prog.NumInstrs())
-	runExperiment(experiment{
-		prog:      s.Prog,
-		outcome:   s.Outcome,
-		reference: s.Reference,
-		extract:   func() (*decoder.Detectors, error) { return decoder.ExtractSurgery(s) },
-		rawLabel:  "raw joint-parity readout",
-		labels:    map[string]any{"workload": "surgery", "d": d, "rounds": rounds},
-		spans:     sp,
-	}, noiseP, decode, demFile, eo, shots, seed, workers)
-}
-
-// runExperiment is the common tail of -memory and -surgery: write the
-// detector error model if requested, then estimate the (optionally
-// union-find-decoded) logical error rate under depolarizing noise, and write
-// the run manifest / Prometheus exposition / diagnostics reports the
-// estimation options request.
-func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int) {
-	sp := e.spans
-	m := noise.Depolarizing(noiseP)
-	if err := m.Validate(); err != nil {
-		fatal(err)
-	}
-	endNoise := sp.Start("noise-compile")
-	sched := noise.Compile(m, e.prog)
-	endNoise()
-	var dets *decoder.Detectors
-	if demFile != "" || decode {
-		var err error
-		if dets, err = e.extract(); err != nil {
-			fatal(err)
-		}
-	}
+	sched := e.Schedule(m)
 	if demFile != "" {
 		if noiseP == 0 {
 			fmt.Fprintln(os.Stderr, "orqcs: -dem with -noise 0 writes a detector error model with no error mechanisms")
+		}
+		dets, err := e.Detectors()
+		if err != nil {
+			fatal(err)
 		}
 		f, err := os.Create(demFile)
 		if err != nil {
@@ -425,6 +341,7 @@ func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo
 		fmt.Printf("wrote detector error model (%d detectors, %d fault sites) to %s\n",
 			dets.NumDetectors(), sched.NumFaultSites(), demFile)
 	}
+	labels := map[string]any{"workload": workload, "d": d, "rounds": rounds}
 	writeManifest := func(pt telemetry.Point) {
 		if eo.metricsFile == "" && eo.promFile == "" {
 			return
@@ -455,109 +372,48 @@ func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo
 		}
 		// The manifest still records the compile-time pipeline state.
 		writeManifest(telemetry.Point{
-			Labels: e.labels,
+			Labels: labels,
 			Metrics: map[string]*telemetry.Snapshot{
-				"program": e.prog.Metrics(),
+				"program": e.Prog.Metrics(),
 				"noise":   sched.Metrics(),
 			},
 		})
 		return
 	}
-	opt := noise.Options{Shots: shots, Seed: seed, Workers: workers}
-	var coll *diag.Collector
-	if eo.diag || eo.demCalib {
-		coll = diag.NewCollector(sched, dets, seed)
-		opt.Observer = coll
+	run := point.Run{
+		Sched: sched, Outcome: e.Outcome, Reference: e.Reference,
+		Options: noise.Options{Shots: shots, Seed: seed, Workers: workers},
+		Diag:    eo.diag, Calibrate: eo.demCalib,
+		Label: fmt.Sprintf("%s p=%g", workload, noiseP),
+		Spans: sp,
 	}
-	var pw *diag.ProgressWriter
-	if eo.progress != "" {
-		progW := io.Writer(os.Stderr)
-		if eo.progress != "stderr" {
-			f, err := os.Create(eo.progress)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			progW = f
-		}
-		pw = diag.NewProgressWriter(progW,
-			fmt.Sprintf("%s p=%g", e.labels["workload"], noiseP), shots)
-		opt.Progress = pw.Batch
-	}
-	// The workloads are Clifford, so they always sample on the Pauli-frame
-	// engine (bit-identical records to the tableaus); it is set explicitly so
-	// its merged counters land in the manifest.
-	sim, err := frame.New(e.prog, sched)
+	progW, closeProg, err := eo.progress.Open()
 	if err != nil {
 		fatal(err)
 	}
-	opt.Sampler = sim
-	label := e.rawLabel
-	var g *decoder.Graph
+	defer closeProg()
+	run.Progress = progW
+	label := text.raw
 	if decode {
-		endGraph := sp.Start("decoder-compile")
-		var err error
-		g, err = decoder.CompileGraph(dets, sched)
-		endGraph()
-		if err != nil {
+		if run.Graph, err = e.Graph(sched); err != nil {
 			fatal(err)
 		}
-		opt.Decoder = g
 		label = "union-find decoded"
 	}
-	endEst := sp.Start("estimate")
-	t0 := time.Now()
-	res, err := noise.EstimateLogicalError(sched, e.outcome, e.reference, opt)
-	wall := time.Since(t0).Seconds()
-	endEst()
+	est, err := run.Estimate()
 	if err != nil {
 		fatal(err)
 	}
-	if pw != nil {
-		pw.Done(res)
-		if perr := pw.Err(); perr != nil {
-			fatal(fmt.Errorf("progress stream: %w", perr))
-		}
+	fmt.Printf("depolarizing p=%g (%s): %v\n", noiseP, label, est.Result)
+	if eo.diag {
+		fmt.Print(est.Attribution.Table())
 	}
-	fmt.Printf("depolarizing p=%g (%s): %v\n", noiseP, label, res)
-	e.labels["decoded"] = decode
-	e.labels["p"] = noiseP
-	metrics := map[string]*telemetry.Snapshot{
-		"program": e.prog.Metrics(),
-		"noise":   sched.Metrics(),
-		"sampler": sim.Metrics(),
+	if eo.demCalib {
+		fmt.Print(est.Calibration.Table())
 	}
-	if g != nil {
-		metrics["decoder"] = g.Metrics()
-	}
-	point := telemetry.Point{
-		Labels: e.labels,
-		Result: map[string]any{
-			"shots": res.Shots, "requested": res.Requested, "errors": res.Errors,
-			"p_l": res.Rate, "stderr": res.StdErr,
-			"wilson_low": res.WilsonLow, "wilson_high": res.WilsonHigh,
-			"half_width": res.HalfWidth, "early_stop_batch": res.EarlyStopBatch,
-			"wall_seconds": wall,
-		},
-		Metrics: metrics,
-	}
-	if coll != nil {
-		att := coll.Attribution()
-		point.Attribution = att
-		metrics["error_budget"] = att.Snapshot()
-		if eo.diag {
-			fmt.Print(att.Table())
-		}
-		if eo.demCalib {
-			dr, derr := coll.DetectorReport()
-			if derr != nil {
-				fatal(derr)
-			}
-			point.Detectors = dr
-			fmt.Print(dr.Table())
-		}
-	}
-	writeManifest(point)
+	labels["decoded"] = decode
+	labels["p"] = noiseP
+	writeManifest(est.Point(labels))
 }
 
 func parseExpect(s string) (orqcs.SitePauli, error) {

@@ -40,6 +40,15 @@ func TestParseDSpec(t *testing.T) {
 			t.Fatalf("parseDSpec(%q) accepted an invalid spec", spec)
 		}
 	}
+	// A surgery cycle needs at least one merged round; memory may idle none.
+	if d, r, err := parseDSpec("surgery", "3:1"); err != nil || d != 3 || r != 1 {
+		t.Fatalf("parseDSpec(surgery, 3:1) = (%d, %d, %v)", d, r, err)
+	}
+	for _, spec := range []string{"3:0", "2:0", "3:-1"} {
+		if _, _, err := parseDSpec("surgery", spec); err == nil {
+			t.Fatalf("parseDSpec(surgery, %q) accepted a cycle without a merged round", spec)
+		}
+	}
 }
 
 func TestValidateProb(t *testing.T) {
@@ -148,6 +157,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"negative-rounds", []string{"-memory", "3:-2"}, "rounds must be ≥ 0"},
 		{"bad-spec", []string{"-surgery", "abc"}, "bad -surgery"},
 		{"surgery-negative", []string{"-surgery", "-5:1"}, "distance must be ≥ 2"},
+		{"surgery-zero-rounds", []string{"-surgery", "3:0"}, "merged rounds must be ≥ 1"},
 		{"noise-too-big", []string{"-memory", "3", "-noise", "1.5"}, "probability in [0, 1]"},
 		{"noise-negative", []string{"-memory", "3", "-noise", "-0.25"}, "probability in [0, 1]"},
 		{"zero-shots", []string{"-memory", "3", "-shots", "0"}, "-shots must be ≥ 1"},
@@ -265,6 +275,36 @@ func TestMemoryProm(t *testing.T) {
 	} {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, prom)
+		}
+	}
+}
+
+// TestCrossEntryPointEstimates pins the decoded d=3 estimates (depolarizing
+// p=3e-3, 500 shots, seed 1) that every entry point — both CLIs, the HTTP
+// service and the tiscc facade — must agree on; the twins of this test live
+// next to each of the other entry points.
+func TestCrossEntryPointEstimates(t *testing.T) {
+	if os.Getenv("ORQCS_RUN_MAIN") == "1" {
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+		os.Args = append([]string{"orqcs"}, strings.Split(os.Getenv("ORQCS_ARGS"), "\x1f")...)
+		main()
+		os.Exit(0)
+	}
+	for _, tc := range []struct{ flag, want string }{
+		{"-memory", "(25/500 shots, 95% CI [3.409e-02, 7.277e-02])"},
+		{"-surgery", "(53/500 shots, 95% CI [8.196e-02, 1.361e-01])"},
+	} {
+		args := []string{tc.flag, "3", "-noise", "3e-3", "-decode", "-shots", "500", "-seed", "1"}
+		cmd := exec.Command(os.Args[0], "-test.run", "TestCrossEntryPointEstimates")
+		cmd.Env = append(os.Environ(),
+			"ORQCS_RUN_MAIN=1",
+			"ORQCS_ARGS="+strings.Join(args, "\x1f"))
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("args %v failed: %v\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "union-find decoded): p_L = ") || !strings.Contains(string(out), tc.want) {
+			t.Fatalf("args %v: output missing %q:\n%s", args, tc.want, out)
 		}
 	}
 }

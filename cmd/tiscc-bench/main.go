@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"runtime"
@@ -49,15 +48,13 @@ import (
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/core"
-	"tiscc/internal/decoder"
-	"tiscc/internal/diag"
-	"tiscc/internal/expr"
 	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
+	"tiscc/internal/point"
 	"tiscc/internal/resource"
 	"tiscc/internal/telemetry"
 	"tiscc/internal/verify"
@@ -91,7 +88,7 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after a GC) to this file")
 		trcOut  = flag.String("trace", "", "write a runtime execution trace of the run to this file")
 	)
-	var progress progressFlag
+	var progress point.ProgressFlag
 	flag.Var(&progress, "progress", "with a noise sweep: stream NDJSON batch progress events (bare -progress → stderr, -progress=FILE → file)")
 	flag.Parse()
 	// Validate every numeric flag up front: invalid inputs exit with a usage
@@ -127,7 +124,7 @@ func main() {
 	if *calOut && (!sweep || !*decode) {
 		usageErr("-dem-calib requires a decoded sweep (-noise or -surgery, with -decode)")
 	}
-	if progress.dest != "" && !sweep {
+	if progress.Dest != "" && !sweep {
 		usageErr("-progress requires -noise or -surgery")
 	}
 	dlistVals, err := parseInts(*dlist)
@@ -146,6 +143,12 @@ func main() {
 	for _, pv := range plistVals {
 		if math.IsNaN(pv) || pv < 0 || pv > 1 {
 			usageErr(fmt.Sprintf("bad -plist entry: %v is not a probability in [0, 1]", pv))
+		}
+	}
+	var models []noise.Model
+	if sweep {
+		if models, err = sweepModels(*model, plistVals); err != nil {
+			usageErr(fmt.Sprintf("bad -model/-plist: %v", err))
 		}
 	}
 	// Profiling starts only after flag validation, so usage errors never
@@ -200,13 +203,18 @@ func main() {
 				nshots = *shots
 			}
 		})
-		runNoiseSweep(sweepConfig{
-			ds: ds, ps: plistVals, rounds: *rounds, shots: nshots,
+		err := runNoiseSweep(sweepConfig{
+			ds: ds, models: models, rounds: *rounds, shots: nshots,
 			seed: *seed, workers: *workers, model: *model,
 			decode: *decode, surgery: *surgery,
 			json: *jsonOut, metricsFile: *metOut, promFile: *promOut,
-			diag: *diagOut, demCalib: *calOut, progress: progress.dest,
+			diag: *diagOut, demCalib: *calOut, progress: progress,
 		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "noise sweep:", err)
+			stopProfiles()
+			os.Exit(1)
+		}
 		did = true
 	}
 	if !did {
@@ -229,32 +237,10 @@ func usageErr(msg string) {
 	os.Exit(2)
 }
 
-// progressFlag is the -progress destination: a boolean-style flag (bare
-// -progress streams to stderr) that also accepts -progress=FILE.
-type progressFlag struct {
-	dest string // "" disabled, "stderr", or a file path
-}
-
-func (p *progressFlag) String() string { return p.dest }
-
-func (p *progressFlag) IsBoolFlag() bool { return true }
-
-func (p *progressFlag) Set(v string) error {
-	switch v {
-	case "", "true":
-		p.dest = "stderr"
-	case "false", "0":
-		p.dest = ""
-	default:
-		p.dest = v
-	}
-	return nil
-}
-
 // sweepConfig bundles the -noise sweep's flags.
 type sweepConfig struct {
 	ds          []int
-	ps          []float64
+	models      []noise.Model
 	rounds      int
 	shots       int
 	seed        int64
@@ -262,12 +248,30 @@ type sweepConfig struct {
 	model       string
 	decode      bool
 	surgery     bool
-	json        bool   // emit the run manifest to stdout instead of the table
-	metricsFile string // write the run manifest to this file
-	promFile    string // write Prometheus text exposition to this file
-	diag        bool   // print + record per-channel error-budget attribution
-	demCalib    bool   // print + record per-detector calibration residuals
-	progress    string // NDJSON progress destination: "", "stderr" or a path
+	json        bool               // emit the run manifest to stdout instead of the table
+	metricsFile string             // write the run manifest to this file
+	promFile    string             // write Prometheus text exposition to this file
+	diag        bool               // print + record per-channel error-budget attribution
+	demCalib    bool               // print + record per-detector calibration residuals
+	progress    point.ProgressFlag // NDJSON progress destination
+}
+
+// sweepModels is the noise sweep's model list: the table5 model once, or
+// the depolarizing model at every physical error rate of ps (parseFloats
+// never returns an empty list).
+func sweepModels(name string, ps []float64) ([]noise.Model, error) {
+	if name == point.ModelTable5 {
+		ps = []float64{0}
+	}
+	models := make([]noise.Model, len(ps))
+	for i, p := range ps {
+		m, err := point.Model(name, p)
+		if err != nil {
+			return nil, err
+		}
+		models[i] = m
+	}
+	return models, nil
 }
 
 // runNoiseSweep estimates logical error rates across code distances and
@@ -286,21 +290,14 @@ type sweepConfig struct {
 // estimate), and one Point per (d, model) with the merged program, noise,
 // sampler and decoder metric snapshots — written per cfg.json / metricsFile /
 // promFile. Telemetry never touches the samplers' RNG, so estimates stay
-// bit-identical with and without any of the outputs enabled.
-func runNoiseSweep(cfg sweepConfig) {
-	if cfg.model != "depolarizing" && cfg.model != "table5" {
-		fmt.Fprintf(os.Stderr, "noise sweep: unknown -model %q (want depolarizing or table5)\n", cfg.model)
-		os.Exit(2)
-	}
-	if cfg.model == "depolarizing" && len(cfg.ps) == 0 {
-		fmt.Fprintln(os.Stderr, "noise sweep: -plist parsed to no error rates")
-		os.Exit(2)
-	}
+// bit-identical with and without any of the outputs enabled. The first
+// failure stops the sweep and is returned.
+func runNoiseSweep(cfg sweepConfig) error {
 	sp := telemetry.NewSpans()
 	man := telemetry.NewManifest("tiscc-bench")
-	workload := "memory"
+	workload := point.WorkloadMemory
 	if cfg.surgery {
-		workload = "surgery"
+		workload = point.WorkloadSurgery
 	}
 	man.Config = map[string]any{
 		"workload": workload, "model": cfg.model, "shots": cfg.shots,
@@ -309,18 +306,11 @@ func runNoiseSweep(cfg sweepConfig) {
 	}
 	// The progress stream is shared by every point of the sweep; point labels
 	// tell the interleaved runs apart.
-	var progW io.Writer
-	if cfg.progress == "stderr" {
-		progW = os.Stderr
-	} else if cfg.progress != "" {
-		f, err := os.Create(cfg.progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		progW = f
+	progW, closeProg, err := cfg.progress.Open()
+	if err != nil {
+		return err
 	}
+	defer closeProg()
 	quiet := cfg.json // the manifest replaces the human-readable table
 	if !quiet {
 		desc := "memory experiments"
@@ -340,166 +330,63 @@ func runNoiseSweep(cfg sweepConfig) {
 		if r <= 0 {
 			r = d
 		}
-		var (
-			prog      *orqcs.Program
-			outcome   expr.Expr
-			reference bool
-			dets      *decoder.Detectors
-			err       error
-		)
-		endCompile := sp.Start("compile")
-		if cfg.surgery {
-			var s *verify.Surgery
-			if s, err = verify.SurgeryExperiment(d, 1, r, 1, pauli.Z); err == nil {
-				prog, outcome, reference = s.Prog, s.Outcome, s.Reference
-				if cfg.decode {
-					dets, err = decoder.ExtractSurgery(s)
-				}
-			}
-		} else {
-			var mem *verify.Memory
-			if mem, err = verify.MemoryExperiment(d, r, pauli.Z); err == nil {
-				prog, outcome, reference = mem.Prog, mem.Outcome, mem.Reference
-				if cfg.decode {
-					dets, err = decoder.Extract(mem)
-				}
-			}
-		}
-		endCompile()
+		e, err := point.Compile(sp, workload, d, r, false)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
-			return
+			return err
 		}
 		if !quiet {
-			fmt.Printf("\nd=%d (rounds=%d, %d qubits, %d instructions", d, r, prog.NumQubits(), prog.NumInstrs())
-			if dets != nil {
+			fmt.Printf("\nd=%d (rounds=%d, %d qubits, %d instructions", d, r, e.Prog.NumQubits(), e.Prog.NumInstrs())
+			if cfg.decode {
+				dets, err := e.Detectors()
+				if err != nil {
+					return err
+				}
 				fmt.Printf(", %d detectors", dets.NumDetectors())
 			}
 			fmt.Println(")")
 			fmt.Printf("  %-10s %-8s %-8s %-12s %-10s %s\n",
 				"p_phys", "shots", "errors", "p_L", "stderr", "95% Wilson CI")
 		}
-		models := make([]noise.Model, 0, len(cfg.ps))
-		if cfg.model == "table5" {
-			models = append(models, noise.PaperTable5(hardware.Default()))
-		} else {
-			for _, p := range cfg.ps {
-				models = append(models, noise.Depolarizing(p))
+		for _, m := range cfg.models {
+			sched := e.Schedule(m)
+			label, progLabel := m.Name, m.Name
+			if cfg.model != point.ModelTable5 {
+				label = fmt.Sprintf("%.1e", m.P1)
+				progLabel = "p=" + label
 			}
-		}
-		for _, m := range models {
-			if err := m.Validate(); err != nil {
-				fmt.Fprintln(os.Stderr, "noise sweep:", err)
-				return
+			run := point.Run{
+				Sched: sched, Outcome: e.Outcome, Reference: e.Reference,
+				Options: noise.Options{Shots: cfg.shots, Seed: cfg.seed, Workers: cfg.workers},
+				Diag:    cfg.diag, Calibrate: cfg.demCalib,
+				Progress: progW, Label: fmt.Sprintf("%s d=%d %s", workload, d, progLabel),
+				Spans: sp,
 			}
-			endNoise := sp.Start("noise-compile")
-			sched := noise.Compile(m, prog)
-			endNoise()
-			opt := noise.Options{Shots: cfg.shots, Seed: cfg.seed, Workers: cfg.workers}
-			var coll *diag.Collector
-			if cfg.diag || cfg.demCalib {
-				coll = diag.NewCollector(sched, dets, cfg.seed)
-				opt.Observer = coll
-			}
-			pointLabel := m.Name
-			if cfg.model != "table5" {
-				pointLabel = fmt.Sprintf("p=%.1e", m.P1)
-			}
-			var pw *diag.ProgressWriter
-			if progW != nil {
-				pw = diag.NewProgressWriter(progW,
-					fmt.Sprintf("%s d=%d %s", workload, d, pointLabel),
-					cfg.shots)
-				opt.Progress = pw.Batch
-			}
-			// The workloads are Clifford: sample on the Pauli-frame engine,
-			// set explicitly so its merged counters land in the manifest.
-			sim, err := frame.New(prog, sched)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "noise sweep:", err)
-				return
-			}
-			opt.Sampler = sim
-			var g *decoder.Graph
 			if cfg.decode {
-				endGraph := sp.Start("decoder-compile")
-				g, err = decoder.CompileGraph(dets, sched)
-				endGraph()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "noise sweep:", err)
-					return
+				if run.Graph, err = e.Graph(sched); err != nil {
+					return err
 				}
-				opt.Decoder = g
 			}
-			endEst := sp.Start("estimate")
-			t0 := time.Now()
-			res, err := noise.EstimateLogicalError(sched, outcome, reference, opt)
-			wall := time.Since(t0).Seconds()
-			endEst()
+			est, err := run.Estimate()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "noise sweep:", err)
-				return
-			}
-			if pw != nil {
-				pw.Done(res)
-				if perr := pw.Err(); perr != nil {
-					fmt.Fprintln(os.Stderr, "noise sweep: progress stream:", perr)
-					return
-				}
+				return err
 			}
 			labels := map[string]any{
 				"workload": workload, "d": d, "rounds": r,
 				"model": m.Name, "decoded": cfg.decode,
 			}
-			if cfg.model != "table5" {
+			if cfg.model != point.ModelTable5 {
 				labels["p"] = m.P1
 			}
-			metrics := map[string]*telemetry.Snapshot{
-				"program": prog.Metrics(),
-				"noise":   sched.Metrics(),
-				"sampler": sim.Metrics(),
-			}
-			if g != nil {
-				metrics["decoder"] = g.Metrics()
-			}
-			point := telemetry.Point{
-				Labels: labels,
-				Result: map[string]any{
-					"shots": res.Shots, "requested": res.Requested, "errors": res.Errors,
-					"p_l": res.Rate, "stderr": res.StdErr,
-					"wilson_low": res.WilsonLow, "wilson_high": res.WilsonHigh,
-					"half_width": res.HalfWidth, "early_stop_batch": res.EarlyStopBatch,
-					"wall_seconds": wall,
-				},
-				Metrics: metrics,
-			}
-			if coll != nil {
-				att := coll.Attribution()
-				point.Attribution = att
-				metrics["error_budget"] = att.Snapshot()
-				if cfg.diag && !quiet {
-					fmt.Print(att.Table())
+			man.AddPoint(est.Point(labels))
+			if !quiet {
+				if cfg.diag {
+					fmt.Print(est.Attribution.Table())
 				}
 				if cfg.demCalib {
-					dr, derr := coll.DetectorReport()
-					if derr != nil {
-						fmt.Fprintln(os.Stderr, "noise sweep:", derr)
-						return
-					}
-					point.Detectors = dr
-					if !quiet {
-						fmt.Print(dr.Table())
-					}
-				}
-			}
-			man.AddPoint(point)
-			if !quiet {
-				label := m.Name
-				if cfg.model != "table5" {
-					label = fmt.Sprintf("%.1e", m.P1)
+					fmt.Print(est.Calibration.Table())
 				}
 				fmt.Printf("  %-10s %-8d %-8d %-12.4e %-10.1e [%.4e, %.4e]\n",
-					label, res.Shots, res.Errors, res.Rate, res.StdErr, res.WilsonLow, res.WilsonHigh)
+					label, est.Shots, est.Errors, est.Rate, est.StdErr, est.WilsonLow, est.WilsonHigh)
 			}
 		}
 	}
@@ -509,13 +396,12 @@ func runNoiseSweep(cfg sweepConfig) {
 	man.Finish(sp)
 	if cfg.json {
 		if err := man.Write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
+			return err
 		}
 	}
 	if cfg.metricsFile != "" {
 		if err := man.WriteFile(cfg.metricsFile); err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
-			return
+			return err
 		}
 		if !quiet {
 			fmt.Printf("wrote run manifest to %s\n", cfg.metricsFile)
@@ -523,13 +409,13 @@ func runNoiseSweep(cfg sweepConfig) {
 	}
 	if cfg.promFile != "" {
 		if err := man.WritePrometheusFile(cfg.promFile, "tiscc"); err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
-			return
+			return err
 		}
 		if !quiet {
 			fmt.Printf("wrote Prometheus metrics to %s\n", cfg.promFile)
 		}
 	}
+	return nil
 }
 
 // startProfiles enables the requested pprof/trace collectors and returns the

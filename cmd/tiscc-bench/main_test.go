@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -57,7 +58,8 @@ func TestValidateDistance(t *testing.T) {
 
 // TestCLIErrorPaths re-executes the test binary as the tiscc-bench CLI with
 // invalid flags and asserts each run exits with a usage error (status 2)
-// rather than an internal panic with a stack trace.
+// rather than an internal panic with a stack trace — and that a noise sweep
+// whose outputs cannot be written fails with status 1 after validation.
 func TestCLIErrorPaths(t *testing.T) {
 	if os.Getenv("TISCC_BENCH_RUN_MAIN") == "1" {
 		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
@@ -65,28 +67,37 @@ func TestCLIErrorPaths(t *testing.T) {
 		main()
 		os.Exit(0)
 	}
+	missing := filepath.Join(t.TempDir(), "missing")
 	cases := []struct {
 		name string
 		args []string
 		want string
+		code int // exit status: 2 for usage errors, 1 for run failures
 	}{
-		{"negative-d", []string{"-table", "1", "-d", "-3"}, "code distance must be ≥ 2"},
-		{"zero-d", []string{"-simbench", "-d", "0"}, "code distance must be ≥ 2"},
-		{"negative-dlist", []string{"-noise", "-dlist", "-3", "-plist", "1e-3"}, "code distance must be ≥ 2"},
-		{"bad-dlist", []string{"-noise", "-dlist", "3,x"}, "bad -dlist"},
-		{"bad-plist", []string{"-noise", "-plist", "zzz"}, "bad -plist"},
-		{"plist-range", []string{"-noise", "-plist", "1.5"}, "not a probability"},
-		{"plist-negative", []string{"-noise", "-plist", "-0.2"}, "not a probability"},
-		{"negative-rounds", []string{"-noise", "-rounds", "-1"}, "-rounds must be ≥ 0"},
-		{"zero-shots", []string{"-noise", "-shots", "0"}, "-shots must be ≥ 1"},
-		{"negative-workers", []string{"-noise", "-workers", "-1"}, "-workers must be ≥ 0"},
-		{"json-alone", []string{"-json"}, "-json requires -simbench, -noise or -surgery"},
-		{"json-with-table", []string{"-table", "1", "-json"}, "-json requires -simbench, -noise or -surgery"},
-		{"metrics-without-noise", []string{"-simbench", "-metrics", "run.json"}, "-metrics requires -noise or -surgery"},
-		{"prom-without-noise", []string{"-verify", "-prom", "run.prom"}, "-prom requires -noise or -surgery"},
-		{"diag-without-sweep", []string{"-verify", "-diag"}, "-diag requires -noise or -surgery"},
-		{"dem-calib-without-decode", []string{"-noise", "-dem-calib"}, "-dem-calib requires a decoded sweep"},
-		{"progress-without-sweep", []string{"-simbench", "-progress"}, "-progress requires -noise or -surgery"},
+		{"negative-d", []string{"-table", "1", "-d", "-3"}, "code distance must be ≥ 2", 2},
+		{"zero-d", []string{"-simbench", "-d", "0"}, "code distance must be ≥ 2", 2},
+		{"negative-dlist", []string{"-noise", "-dlist", "-3", "-plist", "1e-3"}, "code distance must be ≥ 2", 2},
+		{"bad-dlist", []string{"-noise", "-dlist", "3,x"}, "bad -dlist", 2},
+		{"bad-plist", []string{"-noise", "-plist", "zzz"}, "bad -plist", 2},
+		{"plist-range", []string{"-noise", "-plist", "1.5"}, "not a probability", 2},
+		{"plist-negative", []string{"-noise", "-plist", "-0.2"}, "not a probability", 2},
+		{"negative-rounds", []string{"-noise", "-rounds", "-1"}, "-rounds must be ≥ 0", 2},
+		{"zero-shots", []string{"-noise", "-shots", "0"}, "-shots must be ≥ 1", 2},
+		{"negative-workers", []string{"-noise", "-workers", "-1"}, "-workers must be ≥ 0", 2},
+		{"json-alone", []string{"-json"}, "-json requires -simbench, -noise or -surgery", 2},
+		{"json-with-table", []string{"-table", "1", "-json"}, "-json requires -simbench, -noise or -surgery", 2},
+		{"metrics-without-noise", []string{"-simbench", "-metrics", "run.json"}, "-metrics requires -noise or -surgery", 2},
+		{"prom-without-noise", []string{"-verify", "-prom", "run.prom"}, "-prom requires -noise or -surgery", 2},
+		{"diag-without-sweep", []string{"-verify", "-diag"}, "-diag requires -noise or -surgery", 2},
+		{"dem-calib-without-decode", []string{"-noise", "-dem-calib"}, "-dem-calib requires a decoded sweep", 2},
+		{"progress-without-sweep", []string{"-simbench", "-progress"}, "-progress requires -noise or -surgery", 2},
+		{"unknown-model", []string{"-noise", "-model", "bitflip"}, "unknown noise model", 2},
+		{"metrics-unwritable", []string{"-noise", "-dlist", "3", "-plist", "3e-3", "-shots", "100",
+			"-metrics", filepath.Join(missing, "x.json")}, "no such file or directory", 1},
+		{"prom-unwritable", []string{"-noise", "-dlist", "3", "-plist", "3e-3", "-shots", "100",
+			"-prom", filepath.Join(missing, "x.prom")}, "no such file or directory", 1},
+		{"progress-unwritable", []string{"-surgery", "-dlist", "3", "-plist", "3e-3", "-shots", "100",
+			"-progress=" + filepath.Join(missing, "p.ndjson")}, "no such file or directory", 1},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -100,8 +111,8 @@ func TestCLIErrorPaths(t *testing.T) {
 			if !ok {
 				t.Fatalf("args %v: expected a usage-error exit, got err=%v output=%q", tc.args, err, out)
 			}
-			if code := ee.ExitCode(); code != 2 {
-				t.Fatalf("args %v: exit code %d, want 2; output:\n%s", tc.args, code, out)
+			if code := ee.ExitCode(); code != tc.code {
+				t.Fatalf("args %v: exit code %d, want %d; output:\n%s", tc.args, code, tc.code, out)
 			}
 			if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine ") {
 				t.Fatalf("args %v: CLI panicked:\n%s", tc.args, out)
@@ -386,5 +397,50 @@ func TestDiagManifest(t *testing.T) {
 	}
 	if last["event"] != "done" || int(last["done"].(float64)) != 512 {
 		t.Fatalf("final progress event %v", last)
+	}
+}
+
+// TestCrossEntryPointEstimates pins the decoded d=3 estimates (depolarizing
+// p=3e-3, 500 shots, seed 1) that every entry point — both CLIs, the HTTP
+// service and the tiscc facade — must agree on, here through the -json
+// manifest of a one-point sweep.
+func TestCrossEntryPointEstimates(t *testing.T) {
+	if os.Getenv("TISCC_BENCH_RUN_MAIN") == "1" {
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+		os.Args = append([]string{"tiscc-bench"}, strings.Split(os.Getenv("TISCC_BENCH_ARGS"), "\x1f")...)
+		main()
+		os.Exit(0)
+	}
+	for _, tc := range []struct {
+		workload      string
+		errors        int
+		lowCI, highCI string
+	}{
+		{"memory", 25, "3.409e-02", "7.277e-02"},
+		{"surgery", 53, "8.196e-02", "1.361e-01"},
+	} {
+		args := []string{"-noise", "-decode", "-dlist", "3", "-plist", "3e-3", "-shots", "500", "-seed", "1", "-json"}
+		if tc.workload == "surgery" {
+			args = append(args, "-surgery")
+		}
+		out := runCLI(t, "TestCrossEntryPointEstimates", args)
+		start, end := strings.Index(out, "{"), strings.LastIndex(out, "}")
+		if start < 0 || end < start {
+			t.Fatalf("no JSON in output:\n%s", out)
+		}
+		var man telemetry.Manifest
+		if err := json.Unmarshal([]byte(out[start:end+1]), &man); err != nil {
+			t.Fatal(err)
+		}
+		if len(man.Points) != 1 {
+			t.Fatalf("%s: manifest has %d points, want 1", tc.workload, len(man.Points))
+		}
+		pt := man.Points[0]
+		res := pt.Result
+		got := fmt.Sprintf("%v %v/%v [%.3e, %.3e]", pt.Labels["workload"], res["errors"], res["shots"], res["wilson_low"], res["wilson_high"])
+		want := fmt.Sprintf("%s %d/500 [%s, %s]", tc.workload, tc.errors, tc.lowCI, tc.highCI)
+		if got != want {
+			t.Fatalf("manifest point %s, want %s", got, want)
+		}
 	}
 }

@@ -23,6 +23,7 @@ var DeterministicPackages = map[string]bool{
 	"wire":      true,
 	"serve":     true,
 	"telemetry": true,
+	"point":     true,
 }
 
 // randConstructors are the math/rand entry points that build explicitly
@@ -43,7 +44,8 @@ var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: `forbid wall-clock reads (time.Now/Since/Until), the process-global
 math/rand RNG, and unsorted map iteration in the deterministic packages
-(tableau, frame, noise, decoder, orqcs, verify, wire, serve, telemetry).
+(tableau, frame, noise, decoder, orqcs, verify, wire, serve, telemetry,
+point).
 Map ranges are accepted when the loop body is order-insensitive (pure
 accumulation) or when the collected slice is sorted afterwards in the same
 function; anything else needs //tiscc:nondeterministic <reason>.`,

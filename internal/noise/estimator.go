@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"tiscc/internal/expr"
 	"tiscc/internal/orqcs"
@@ -64,9 +63,8 @@ type Options struct {
 	Observer ShotObserver
 	// Progress, when non-nil, is called at every Batch boundary of the
 	// in-order error fold with the counted prefix so far — the streaming
-	// heartbeat hook (-progress). Enabling it routes the no-early-stop path
-	// through the same strict-shot-order fold the early-stopping path uses;
-	// the counted result is identical either way.
+	// heartbeat hook (-progress). Every run folds in strict shot order, so
+	// the hook observes exactly the prefixes early stopping decides on.
 	Progress func(done, errors int, stopped bool)
 }
 
@@ -226,21 +224,6 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 		}
 		return bad
 	}
-	if opt.TargetStdErr <= 0 && opt.Progress == nil {
-		// No stopping checks and no progress stream: a plain
-		// order-independent count suffices.
-		var errCount atomic.Int64
-		err := sample(func(i int, records map[int32]bool) error {
-			if judged(i, records) {
-				errCount.Add(1)
-			}
-			return nil
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		return result(int(errCount.Load()), shots, shots, 0, reference), nil
-	}
 	batch := opt.Batch
 	if batch == 0 {
 		batch = 256
@@ -273,7 +256,7 @@ type stopFold struct {
 	mu               sync.Mutex
 	next, errs, done int
 	batch            int
-	target           float64 // ≤ 0: fold for progress only, never stop
+	target           float64 // ≤ 0: never stop
 	stopped          bool
 	stopBatch        int                             // 1-based batch index at which the run stopped, 0 if never
 	onBatch          func(done, errs int, stop bool) // progress hook, may be nil

@@ -18,11 +18,9 @@ import (
 
 	"tiscc/internal/decoder"
 	"tiscc/internal/expr"
-	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
-	"tiscc/internal/pauli"
-	"tiscc/internal/verify"
+	"tiscc/internal/point"
 	"tiscc/internal/wire"
 )
 
@@ -236,11 +234,11 @@ func DecodeBundle(data []byte) (*Artifact, error) {
 
 // Workload and model names accepted by CompileArtifact and the HTTP API.
 const (
-	WorkloadMemory  = "memory"
-	WorkloadSurgery = "surgery"
+	WorkloadMemory  = point.WorkloadMemory
+	WorkloadSurgery = point.WorkloadSurgery
 
-	ModelDepolarizing = "depolarizing"
-	ModelTable5       = "table5"
+	ModelDepolarizing = point.ModelDepolarizing
+	ModelTable5       = point.ModelTable5
 )
 
 // CompileArtifact compiles the artifact for one cache key: the workload's
@@ -254,51 +252,21 @@ func CompileArtifact(k Key) (*Artifact, error) {
 	if rounds <= 0 {
 		rounds = k.Distance
 	}
-	a := &Artifact{Key: k}
-	var (
-		prog *orqcs.Program
-		dets *decoder.Detectors
-		err  error
-	)
-	switch k.Workload {
-	case WorkloadMemory:
-		var mem *verify.Memory
-		if mem, err = verify.MemoryExperiment(k.Distance, rounds, pauli.Z); err != nil {
-			return nil, err
-		}
-		prog, a.Outcome, a.Reference = mem.Prog, mem.Outcome, mem.Reference
-		dets, err = decoder.Extract(mem)
-	case WorkloadSurgery:
-		var s *verify.Surgery
-		if s, err = verify.SurgeryExperiment(k.Distance, 1, rounds, 1, pauli.Z); err != nil {
-			return nil, err
-		}
-		prog, a.Outcome, a.Reference = s.Prog, s.Outcome, s.Reference
-		dets, err = decoder.ExtractSurgery(s)
-	default:
-		return nil, fmt.Errorf("serve: unknown workload %q", k.Workload)
-	}
+	e, err := point.Compile(nil, k.Workload, k.Distance, rounds, false)
 	if err != nil {
 		return nil, err
 	}
-	var model noise.Model
-	switch k.Model {
-	case ModelDepolarizing:
-		model = noise.Depolarizing(k.P)
-	case ModelTable5:
-		model = noise.PaperTable5(hardware.Default())
-	default:
-		return nil, fmt.Errorf("serve: unknown noise model %q", k.Model)
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	sched := noise.Compile(model, prog)
-	graph, err := decoder.CompileGraph(dets, sched)
+	m, err := point.Model(k.Model, k.P)
 	if err != nil {
 		return nil, err
 	}
-	a.Prog, a.Sched, a.Graph = prog, sched, graph
+	sched := e.Schedule(m)
+	graph, err := e.Graph(sched)
+	if err != nil {
+		return nil, err
+	}
+	a := &Artifact{Key: k, Prog: e.Prog, Sched: sched, Graph: graph,
+		Outcome: e.Outcome, Reference: e.Reference}
 	decoded, err := DecodeBundle(EncodeBundle(a))
 	if err != nil {
 		return nil, fmt.Errorf("serve: artifact round-trip failed: %w", err)

@@ -9,9 +9,8 @@ import (
 	"net/http"
 	"time"
 
-	"tiscc/internal/diag"
-	"tiscc/internal/frame"
 	"tiscc/internal/noise"
+	"tiscc/internal/point"
 	"tiscc/internal/telemetry"
 )
 
@@ -49,9 +48,10 @@ type EstimateRequest struct {
 	Seed int64 `json:"seed"`
 	// Workers sizes the shot pool (0 = all cores). Does not affect results.
 	Workers int `json:"workers,omitempty"`
-	// Progress streams NDJSON batch events (tiscc.progress/v1) before the
-	// final result line. Progress events carry wall-clock rates, so only the
-	// non-progress response body is byte-for-byte deterministic.
+	// Progress streams NDJSON progress events (tiscc.progress/v1: start,
+	// batch, done) before the final result line. Progress events carry
+	// wall-clock rates, so only the non-progress response body is
+	// byte-for-byte deterministic.
 	Progress bool `json:"progress,omitempty"`
 }
 
@@ -305,44 +305,28 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Tiscc-Cache", disposition)
 
-	// The frame sampler is rebuilt per request (cheap: one reference shot)
-	// so concurrent requests never share mutable sampler state; the heavy
-	// artifacts — program, schedule, graph — are the shared cached ones.
-	sim, err := frame.New(art.Prog, art.Sched)
-	if err != nil {
-		s.met.Inc(CtrErrors)
-		httpError(w, http.StatusInternalServerError, "sampler: %v", err)
-		return
+	// The run builds its frame sampler per request (cheap: one reference
+	// shot) so concurrent requests never share mutable sampler state; the
+	// heavy artifacts — program, schedule, graph — are the shared cached ones.
+	run := point.Run{
+		Sched: art.Sched, Outcome: art.Outcome, Reference: art.Reference, Graph: art.Graph,
+		Options: noise.Options{Shots: req.Shots, Seed: req.Seed, Workers: req.Workers},
 	}
-	opt := noise.Options{
-		Shots:   req.Shots,
-		Seed:    req.Seed,
-		Workers: req.Workers,
-		Decoder: art.Graph,
-		Sampler: sim,
-	}
-
 	var out io.Writer = w
 	if req.Progress {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		fw := &flushWriter{w: w}
 		out = fw
-		label := fmt.Sprintf("%s d=%d %s", req.Workload, req.Distance, req.Model)
+		run.Progress = fw
+		run.Label = fmt.Sprintf("%s d=%d %s", req.Workload, req.Distance, req.Model)
 		if req.Model == ModelDepolarizing {
-			label = fmt.Sprintf("%s d=%d p=%g", req.Workload, req.Distance, req.P)
+			run.Label = fmt.Sprintf("%s d=%d p=%g", req.Workload, req.Distance, req.P)
 		}
-		pw := diag.NewProgressWriter(fw, label, req.Shots)
-		opt.Progress = pw.Batch
-		defer func() {
-			if perr := pw.Err(); perr != nil {
-				s.logf("progress stream %v: %v", key, perr)
-			}
-		}()
 	} else {
 		w.Header().Set("Content-Type", "application/json")
 	}
 
-	res, err := noise.EstimateLogicalError(art.Sched, art.Outcome, art.Reference, opt)
+	est, err := run.Estimate()
 	if err != nil {
 		s.met.Inc(CtrErrors)
 		var oe *noise.OptionError
@@ -357,6 +341,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	res := est.Result
 	s.met.Add(CtrShotsServed, uint64(res.Shots))
 
 	rounds := req.Rounds

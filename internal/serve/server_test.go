@@ -301,3 +301,35 @@ func TestSurgeryAndTable5Served(t *testing.T) {
 		t.Fatalf("artifact manifest empty: %+v", got.Artifact)
 	}
 }
+
+// TestCrossEntryPointEstimates pins the decoded d=3 estimates (depolarizing
+// p=3e-3, 500 shots, seed 1) that every entry point — both CLIs, the HTTP
+// service and the tiscc facade — must agree on, here through POST
+// /v1/estimate.
+func TestCrossEntryPointEstimates(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct {
+		workload      string
+		errors        int
+		lowCI, highCI string
+	}{
+		{WorkloadMemory, 25, "3.409e-02", "7.277e-02"},
+		{WorkloadSurgery, 53, "8.196e-02", "1.361e-01"},
+	} {
+		resp, body := postEstimate(t, ts, fmt.Sprintf(
+			`{"workload": %q, "distance": 3, "p": 0.003, "shots": 500, "seed": 1}`, tc.workload))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var got EstimateResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		r := got.Result
+		gotS := fmt.Sprintf("%d/%d [%.3e, %.3e]", r.Errors, r.Shots, r.WilsonLow, r.WilsonHigh)
+		wantS := fmt.Sprintf("%d/500 [%s, %s]", tc.errors, tc.lowCI, tc.highCI)
+		if gotS != wantS {
+			t.Fatalf("%s: served estimate %s, want %s", tc.workload, gotS, wantS)
+		}
+	}
+}

@@ -40,13 +40,13 @@ import (
 	"tiscc/internal/core"
 	"tiscc/internal/decoder"
 	"tiscc/internal/expr"
-	"tiscc/internal/frame"
 	"tiscc/internal/grid"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
+	"tiscc/internal/point"
 	"tiscc/internal/resource"
 	"tiscc/internal/tomo"
 	"tiscc/internal/verify"
@@ -305,43 +305,38 @@ func CompileMemoryExperiment(d, rounds int) (*MemoryExperiment, error) {
 // reference is reported with a 95% Wilson confidence interval. The result is
 // deterministic in (d, rounds, model, options) for every worker count.
 func EstimateLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	if err := m.Validate(); err != nil {
-		return LogicalErrorResult{}, err
-	}
-	mem, err := verify.MemoryExperiment(d, rounds, pauli.Z)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	return estimate(noise.Compile(m, mem.Prog), mem.Outcome, mem.Reference, opt)
+	return estimateWorkload(point.WorkloadMemory, d, rounds, m, false, opt)
 }
 
 // EstimateLogicalError runs the logical-error estimator over an
 // already-compiled fault schedule and outcome formula — the lower-level
 // entry point behind EstimateLogicalErrorRate, for custom experiments.
+// Clifford programs sample on the Pauli-frame engine unless opt supplies a
+// Sampler.
 func EstimateLogicalError(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	return estimate(s, outcome, reference, opt)
+	est, err := point.Run{Sched: s, Outcome: outcome, Reference: reference, Options: opt}.Estimate()
+	return est.Result, err
 }
 
-// estimate is the one estimator path behind every facade entry point.
-func estimate(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	opt, err := withFrameSampler(s, opt)
+// estimateWorkload is the facade's path for the compiled workloads: validate
+// the model, compile the experiment, its fault schedule and (when decode is
+// set) its decoding graph, then estimate.
+func estimateWorkload(workload string, d, rounds int, m NoiseModel, decode bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
+	if err := m.Validate(); err != nil {
+		return LogicalErrorResult{}, err
+	}
+	e, err := point.Compile(nil, workload, d, rounds, false)
 	if err != nil {
 		return LogicalErrorResult{}, err
 	}
-	return noise.EstimateLogicalError(s, outcome, reference, opt)
-}
-
-// withFrameSampler makes Clifford programs sample on the Pauli-frame engine
-// (records bit-identical to the tableau pool, at a fraction of the cost)
-// unless the caller supplied a Sampler; non-Clifford programs keep the
-// estimator's tableau pool.
-func withFrameSampler(s *FaultSchedule, opt LogicalErrorOptions) (LogicalErrorOptions, error) {
-	if opt.Sampler != nil || !s.Program().Clifford() {
-		return opt, nil
+	run := point.Run{Sched: e.Schedule(m), Outcome: e.Outcome, Reference: e.Reference, Options: opt}
+	if decode {
+		if run.Graph, err = e.Graph(run.Sched); err != nil {
+			return LogicalErrorResult{}, err
+		}
 	}
-	sim, err := frame.New(s.Program(), s)
-	opt.Sampler = sim
-	return opt, err
+	est, err := run.Estimate()
+	return est.Result, err
 }
 
 // --- Syndrome decoding --------------------------------------------------------
@@ -373,20 +368,7 @@ func CompileDecoder(mem *MemoryExperiment, s *FaultSchedule) (*DecoderGraph, err
 // threshold plots. Deterministic in (d, rounds, model, options) for every
 // worker count.
 func EstimateDecodedLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	if err := m.Validate(); err != nil {
-		return LogicalErrorResult{}, err
-	}
-	mem, err := verify.MemoryExperiment(d, rounds, pauli.Z)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	sched := noise.Compile(m, mem.Prog)
-	g, err := CompileDecoder(mem, sched)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	opt.Decoder = g
-	return estimate(sched, mem.Outcome, mem.Reference, opt)
+	return estimateWorkload(point.WorkloadMemory, d, rounds, m, true, opt)
 }
 
 // WriteDetectorErrorModel writes the Stim-compatible detector error model of
@@ -450,20 +432,10 @@ func CompileSurgeryDecoder(s *SurgeryExperiment, sched *FaultSchedule) (*Decoder
 // merged-phase rounds (0 selects d). Deterministic in (d, rounds, model,
 // options) for every worker count.
 func EstimateDecodedSurgeryErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	if err := m.Validate(); err != nil {
-		return LogicalErrorResult{}, err
+	if rounds <= 0 {
+		rounds = d
 	}
-	s, err := CompileSurgeryExperiment(d, rounds)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	sched := noise.Compile(m, s.Prog)
-	g, err := CompileSurgeryDecoder(s, sched)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	opt.Decoder = g
-	return estimate(sched, s.Outcome, s.Reference, opt)
+	return estimateWorkload(point.WorkloadSurgery, d, rounds, m, true, opt)
 }
 
 // WriteSurgeryDetectorErrorModel writes the Stim-compatible detector error

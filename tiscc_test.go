@@ -2,6 +2,7 @@ package tiscc_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -446,5 +447,32 @@ func TestFacadeWriteSurgeryDEM(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "error(") || !strings.Contains(out, "logical_observable L0") {
 		t.Fatalf("surgery DEM output missing required lines:\n%s", out)
+	}
+}
+
+// TestCrossEntryPointEstimates pins the decoded d=3 estimates (depolarizing
+// p=3e-3, 500 shots, seed 1) that every entry point — both CLIs, the HTTP
+// service and this facade — must agree on.
+func TestCrossEntryPointEstimates(t *testing.T) {
+	m := tiscc.DepolarizingNoise(3e-3)
+	opt := tiscc.LogicalErrorOptions{Shots: 500, Seed: 1}
+	for _, tc := range []struct {
+		name          string
+		estimate      func(d, rounds int, m tiscc.NoiseModel, opt tiscc.LogicalErrorOptions) (tiscc.LogicalErrorResult, error)
+		errors        int
+		lowCI, highCI string
+	}{
+		{"memory", tiscc.EstimateDecodedLogicalErrorRate, 25, "3.409e-02", "7.277e-02"},
+		{"surgery", tiscc.EstimateDecodedSurgeryErrorRate, 53, "8.196e-02", "1.361e-01"},
+	} {
+		r, err := tc.estimate(3, 3, m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%d/%d [%.3e, %.3e]", r.Errors, r.Shots, r.WilsonLow, r.WilsonHigh)
+		want := fmt.Sprintf("%d/500 [%s, %s]", tc.errors, tc.lowCI, tc.highCI)
+		if got != want {
+			t.Fatalf("%s: facade estimate %s, want %s", tc.name, got, want)
+		}
 	}
 }
