@@ -12,7 +12,6 @@
 //	tiscc-bench -figure 1 | 2 | 3 | 4 | 6
 //	tiscc-bench -resources [-dlist 3,5,7,9,11,13]
 //	tiscc-bench -verify
-//	tiscc-bench -simbench [-d 5] [-shots 200] [-json]
 //	tiscc-bench -noise [-dlist 3,5] [-plist 1e-4,...] [-rounds 0] [-shots N] [-model depolarizing|table5] [-seed 1] [-workers 0]
 //	tiscc-bench -noise -decode ...  (adds union-find syndrome decoding: p-vs-p_L threshold sweeps)
 //	tiscc-bench -noise -surgery ... (sweeps two-patch ZZ-merge/split cycles instead of idle memory)
@@ -34,7 +33,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -44,15 +42,12 @@ import (
 	"runtime/trace"
 	"strconv"
 	"strings"
-	"time"
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/core"
-	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
 	"tiscc/internal/noise"
-	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/point"
 	"tiscc/internal/resource"
@@ -67,9 +62,8 @@ func main() {
 		figure  = flag.Int("figure", 0, "print one paper figure (1, 2, 3, 4 or 6)")
 		res     = flag.Bool("resources", false, "print per-instruction resource estimates")
 		ver     = flag.Bool("verify", false, "run the verification matrix")
-		sim     = flag.Bool("simbench", false, "benchmark simulation throughput: T-injection EstimateBatch and Pauli-frame noisy memory")
 		noisy   = flag.Bool("noise", false, "sweep physical vs logical error rates over memory experiments")
-		shots   = flag.Int("shots", 200, "Monte-Carlo shots for -simbench (and -noise, where the default is 1000)")
+		shots   = flag.Int("shots", 1000, "Monte-Carlo shots per -noise sweep point")
 		dlist   = flag.String("dlist", "3,5,7,9", "code distances for the resource sweep (-noise defaults to 3,5)")
 		d       = flag.Int("d", 3, "code distance for tables/figures")
 		plist   = flag.String("plist", "1e-4,3e-4,1e-3,3e-3,1e-2", "physical error rates for the -noise sweep")
@@ -79,7 +73,7 @@ func main() {
 		decode  = flag.Bool("decode", false, "with -noise (memory or -surgery sweeps): union-find-decode each shot's syndrome history")
 		surgery = flag.Bool("surgery", false, "with -noise: sweep two-patch ZZ-merge/split cycles (joint-parity error) instead of idle memory")
 		workers = flag.Int("workers", 0, "worker goroutines for the -noise sweep (0 = all cores)")
-		jsonOut = flag.Bool("json", false, "with -simbench, -noise or -surgery: emit results as JSON (benchmark records, or the full run manifest) instead of the table")
+		jsonOut = flag.Bool("json", false, "with -noise or -surgery: emit the full run manifest as JSON instead of the table")
 		metOut  = flag.String("metrics", "", "with a noise sweep: write the structured run manifest (provenance, spans, per-point metrics) to this JSON file")
 		promOut = flag.String("prom", "", "with a noise sweep: write the aggregated run metrics in Prometheus text exposition format to this file")
 		diagOut = flag.Bool("diag", false, "with a noise sweep: print the per-channel error-budget attribution table for every point (and record it in the manifest)")
@@ -109,8 +103,8 @@ func main() {
 	// -surgery on its own runs the noise sweep over surgery cycles, so every
 	// sweep-only flag accepts either spelling.
 	sweep := *noisy || *surgery
-	if *jsonOut && !*sim && !sweep {
-		usageErr("-json requires -simbench, -noise or -surgery")
+	if *jsonOut && !sweep {
+		usageErr("-json requires -noise or -surgery")
 	}
 	if *metOut != "" && !sweep {
 		usageErr("-metrics requires -noise or -surgery")
@@ -187,24 +181,17 @@ func main() {
 		runVerify()
 		did = true
 	}
-	if *sim {
-		runSimBench(*d, *shots, *jsonOut)
-		did = true
-	}
 	if sweep {
-		// -dlist and -shots default differently under -noise; apply the
-		// noise defaults only when the user left them untouched.
-		ds, nshots := []int{3, 5}, 1000
+		// -dlist defaults differently under -noise; apply the noise default
+		// only when the user left it untouched.
+		ds := []int{3, 5}
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "dlist":
+			if f.Name == "dlist" {
 				ds = dlistVals
-			case "shots":
-				nshots = *shots
 			}
 		})
 		err := runNoiseSweep(sweepConfig{
-			ds: ds, models: models, rounds: *rounds, shots: nshots,
+			ds: ds, models: models, rounds: *rounds, shots: *shots,
 			seed: *seed, workers: *workers, model: *model,
 			decode: *decode, surgery: *surgery,
 			json: *jsonOut, metricsFile: *metOut, promFile: *promOut,
@@ -475,124 +462,6 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// benchRecord is one benchmark measurement. Under -json the -simbench run
-// emits an array of these instead of the human-readable table.
-type benchRecord struct {
-	Name          string  `json:"name"`
-	Engine        string  `json:"engine"`
-	D             int     `json:"d"`
-	Shots         int     `json:"shots"`
-	Seconds       float64 `json:"seconds"`
-	ShotsPerSec   float64 `json:"shots_per_sec"`
-	AllocsPerShot float64 `json:"allocs_per_shot"`
-}
-
-// duration converts the record's wall-clock back to a time.Duration for the
-// human-readable table.
-func (r benchRecord) duration() time.Duration {
-	return time.Duration(r.Seconds * float64(time.Second))
-}
-
-// timeShots runs fn once over `shots` shots, measuring wall-clock time and
-// the heap-allocation count delta (runtime.MemStats.Mallocs) per shot.
-func timeShots(name, engine string, d, shots int, fn func()) benchRecord {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	fn()
-	el := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	return benchRecord{
-		Name: name, Engine: engine, D: d, Shots: shots,
-		Seconds:       el.Seconds(),
-		ShotsPerSec:   float64(shots) / el.Seconds(),
-		AllocsPerShot: float64(m1.Mallocs-m0.Mallocs) / float64(shots),
-	}
-}
-
-// runSimBench times the two production sampling paths: the Monte-Carlo
-// verification hot path (a d×d T-state injection — non-Clifford, so it runs
-// on the bit-sliced tableau pool — estimated over N shots at 1 and all
-// workers) and noisy memory-experiment shots on the batch Pauli-frame
-// sampler. With jsonOut the measurements are emitted as a JSON array instead.
-func runSimBench(d, shots int, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("== Simulation throughput (d=%d, %d shots) ==\n", d, shots)
-	}
-	c := core.NewCompiler(d+8, d+7, hardware.Default())
-	lq, err := c.NewLogicalQubit(d, d, core.Cell{R: 1, C: 2})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return
-	}
-	lq.InjectState(core.InjectT)
-	site, _ := c.SitePauli(lq.GeoRep(core.LogicalX))
-
-	t0 := time.Now()
-	prog, err := orqcs.Compile(c.Build())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return
-	}
-	compileTime := time.Since(t0)
-	var recs []benchRecord
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		var mean, stderr float64
-		rec := timeShots(fmt.Sprintf("EstimateBatch workers=%d", workers), "sliced", d, shots, func() {
-			mean, stderr, err = orqcs.EstimateBatch(prog, site, shots, 1, workers)
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			return
-		}
-		recs = append(recs, rec)
-		if !jsonOut {
-			fmt.Printf("  EstimateBatch (%d worker(s))    %10v  (%.0f shots/s, mean %.4f ± %.4f)\n",
-				workers, rec.duration(), rec.ShotsPerSec, mean, stderr)
-		}
-	}
-	if !jsonOut {
-		fmt.Printf("  one-time Compile: %v, %d instructions, %d qubits, %d T gates\n",
-			compileTime, prog.NumInstrs(), prog.NumQubits(), prog.NumTGates())
-	}
-
-	// Noisy memory experiment (depolarizing p=1e-3) on the Pauli-frame
-	// sampler, one reused 64-shot batch.
-	mem, err := verify.MemoryExperiment(d, d, pauli.Z)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return
-	}
-	sim, err := frame.New(mem.Prog, noise.Compile(noise.Depolarizing(1e-3), mem.Prog))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return
-	}
-	bt := sim.NewBatch()
-	fr := timeShots("noisy memory", "frame", d, shots, func() {
-		for s := 0; s < shots; s += 64 {
-			bt.Run(s, min(shots-s, 64), 1)
-		}
-	})
-	recs = append(recs, fr)
-	if jsonOut {
-		out := struct {
-			Provenance telemetry.Provenance `json:"provenance"`
-			Benchmarks []benchRecord        `json:"benchmarks"`
-		}{telemetry.NewProvenance(), recs}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-		}
-		return
-	}
-	fmt.Printf("  Pauli-frame noisy memory (d=%d) %10v  (%.0f shots/s, %.2f allocs/shot)\n",
-		d, fr.duration(), fr.ShotsPerSec, fr.AllocsPerShot)
-	fmt.Println()
 }
 
 func parseInts(s string) ([]int, error) {

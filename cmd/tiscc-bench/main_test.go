@@ -75,7 +75,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		code int // exit status: 2 for usage errors, 1 for run failures
 	}{
 		{"negative-d", []string{"-table", "1", "-d", "-3"}, "code distance must be ≥ 2", 2},
-		{"zero-d", []string{"-simbench", "-d", "0"}, "code distance must be ≥ 2", 2},
+		{"zero-d", []string{"-table", "1", "-d", "0"}, "code distance must be ≥ 2", 2},
 		{"negative-dlist", []string{"-noise", "-dlist", "-3", "-plist", "1e-3"}, "code distance must be ≥ 2", 2},
 		{"bad-dlist", []string{"-noise", "-dlist", "3,x"}, "bad -dlist", 2},
 		{"bad-plist", []string{"-noise", "-plist", "zzz"}, "bad -plist", 2},
@@ -84,13 +84,13 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"negative-rounds", []string{"-noise", "-rounds", "-1"}, "-rounds must be ≥ 0", 2},
 		{"zero-shots", []string{"-noise", "-shots", "0"}, "-shots must be ≥ 1", 2},
 		{"negative-workers", []string{"-noise", "-workers", "-1"}, "-workers must be ≥ 0", 2},
-		{"json-alone", []string{"-json"}, "-json requires -simbench, -noise or -surgery", 2},
-		{"json-with-table", []string{"-table", "1", "-json"}, "-json requires -simbench, -noise or -surgery", 2},
-		{"metrics-without-noise", []string{"-simbench", "-metrics", "run.json"}, "-metrics requires -noise or -surgery", 2},
+		{"json-alone", []string{"-json"}, "-json requires -noise or -surgery", 2},
+		{"json-with-table", []string{"-table", "1", "-json"}, "-json requires -noise or -surgery", 2},
+		{"metrics-without-noise", []string{"-table", "1", "-metrics", "run.json"}, "-metrics requires -noise or -surgery", 2},
 		{"prom-without-noise", []string{"-verify", "-prom", "run.prom"}, "-prom requires -noise or -surgery", 2},
 		{"diag-without-sweep", []string{"-verify", "-diag"}, "-diag requires -noise or -surgery", 2},
 		{"dem-calib-without-decode", []string{"-noise", "-dem-calib"}, "-dem-calib requires a decoded sweep", 2},
-		{"progress-without-sweep", []string{"-simbench", "-progress"}, "-progress requires -noise or -surgery", 2},
+		{"progress-without-sweep", []string{"-table", "1", "-progress"}, "-progress requires -noise or -surgery", 2},
 		{"unknown-model", []string{"-noise", "-model", "bitflip"}, "unknown noise model", 2},
 		{"metrics-unwritable", []string{"-noise", "-dlist", "3", "-plist", "3e-3", "-shots", "100",
 			"-metrics", filepath.Join(missing, "x.json")}, "no such file or directory", 1},

@@ -68,7 +68,7 @@ func (c *Collector) Attribution() *AttributionReport {
 		cs.OddsRatio = ((float64(cs.FiredFail) + 0.5) / (fail + 0.5)) /
 			((float64(cs.FiredOK) + 0.5) / (ok + 0.5))
 		if r.Shots > 0 {
-			cs.PLContribution = m.plNum[i] / float64(r.Shots)
+			cs.PLContribution = float64(m.plUnits[i]) / attribUnit / float64(r.Shots)
 		}
 		r.Channels = append(r.Channels, cs)
 	}

@@ -39,6 +39,14 @@ import (
 // scratch (and per merged report): enough to debug, bounded by construction.
 const maxFailureSamples = 8
 
+// attribUnit is the fixed-point budget of one failing shot in the p_L
+// attribution: the shot's share of each channel that fired on it is an
+// integer number of units, and the shares sum to attribUnit exactly. Integer
+// sums do not depend on the order the per-worker scratches merge in, so the
+// attribution is bit-identical from run to run. (Overflow needs 2³² failing
+// shots.)
+const attribUnit = 1 << 32
+
 // channel is one error-budget channel: the (gate class, fault kind) pair of
 // a set of fault sites.
 type channel struct {
@@ -74,9 +82,9 @@ type scratch struct {
 	syn     []int32  // syndrome buffer
 
 	shotsOK, shotsFail uint64
-	chanOK, chanFail   []uint64  // per-channel fire counts by outcome
-	plNum              []float64 // per-channel fractional failure attribution
-	detFired, detFail  []uint64  // per-detector fire counts (all / failing shots)
+	chanOK, chanFail   []uint64 // per-channel fire counts by outcome
+	plUnits            []uint64 // per-channel failure attribution, in attribUnits
+	detFired, detFail  []uint64 // per-detector fire counts (all / failing shots)
 	failures           []FailureSample
 }
 
@@ -119,7 +127,7 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 			touched:  make([]uint16, 0, len(c.chans)),
 			chanOK:   make([]uint64, len(c.chans)),
 			chanFail: make([]uint64, len(c.chans)),
-			plNum:    make([]float64, len(c.chans)),
+			plUnits:  make([]uint64, len(c.chans)),
 		}
 		if c.dets != nil {
 			nd := c.dets.NumDetectors()
@@ -152,17 +160,24 @@ func (c *Collector) ObserveShot(shot int, bad bool, records map[int32]bool) {
 	}
 	if bad {
 		sc.shotsFail++
-		// Distribute this failure fractionally across the channels that
-		// fired, by fire share: the per-channel sums then add up to the
-		// total failure count exactly, so the attribution table's p_L
+		// Distribute this failure across the channels that fired, by fire
+		// share, in integer units: the last channel takes what the rounded-
+		// down shares of the others leave, so the per-channel sums add up
+		// to failures × attribUnit exactly and the attribution table's p_L
 		// contributions sum to p_L by construction. A failing shot always
 		// has ≥ 1 fired fault (a fault-free shot reproduces the noiseless
 		// reference bit-for-bit), but guard the division anyway.
-		if total := float64(len(sc.fired)); total > 0 {
-			for _, ch := range sc.touched {
-				n := sc.perShot[ch]
-				sc.chanFail[ch] += uint64(n)
-				sc.plNum[ch] += float64(n) / total
+		if total := uint64(len(sc.fired)); total > 0 {
+			left := uint64(attribUnit)
+			for k, ch := range sc.touched {
+				n := uint64(sc.perShot[ch])
+				sc.chanFail[ch] += n
+				share := n * attribUnit / total
+				if k == len(sc.touched)-1 {
+					share = left
+				}
+				left -= share
+				sc.plUnits[ch] += share
 			}
 		}
 	} else {
@@ -183,14 +198,34 @@ func (c *Collector) ObserveShot(shot int, bad bool, records map[int32]bool) {
 				sc.detFail[di]++
 			}
 		}
-		if bad && len(sc.failures) < maxFailureSamples {
-			sc.failures = append(sc.failures, FailureSample{
-				Shot:    shot,
-				Defects: append([]int32(nil), sc.syn...),
-			})
+		if bad {
+			sc.keepFailure(shot)
 		}
 	}
 	c.pool.Put(sc)
+}
+
+// keepFailure offers a failing shot (its syndrome in sc.syn) to the
+// scratch's localization sample, which keeps the maxFailureSamples
+// lowest-numbered failing shots it has seen, in whatever order the shots
+// arrive. Every scratch keeping its own lowest is what lets merged return
+// the lowest overall.
+func (sc *scratch) keepFailure(shot int) {
+	slot := len(sc.failures)
+	if slot == maxFailureSamples {
+		slot = 0
+		for i := range sc.failures {
+			if sc.failures[i].Shot > sc.failures[slot].Shot {
+				slot = i
+			}
+		}
+		if shot > sc.failures[slot].Shot {
+			return
+		}
+	} else {
+		sc.failures = append(sc.failures, FailureSample{})
+	}
+	sc.failures[slot] = FailureSample{Shot: shot, Defects: append([]int32(nil), sc.syn...)}
 }
 
 // merged folds every worker scratch into one totals view. Only call at
@@ -199,7 +234,7 @@ func (c *Collector) merged() *scratch {
 	m := &scratch{
 		chanOK:   make([]uint64, len(c.chans)),
 		chanFail: make([]uint64, len(c.chans)),
-		plNum:    make([]float64, len(c.chans)),
+		plUnits:  make([]uint64, len(c.chans)),
 	}
 	if c.dets != nil {
 		nd := c.dets.NumDetectors()
@@ -214,7 +249,7 @@ func (c *Collector) merged() *scratch {
 		for i := range c.chans {
 			m.chanOK[i] += sc.chanOK[i]
 			m.chanFail[i] += sc.chanFail[i]
-			m.plNum[i] += sc.plNum[i]
+			m.plUnits[i] += sc.plUnits[i]
 		}
 		for i := range m.detFired {
 			m.detFired[i] += sc.detFired[i]
@@ -223,7 +258,8 @@ func (c *Collector) merged() *scratch {
 		m.failures = append(m.failures, sc.failures...)
 	}
 	// Deterministic localization sample regardless of worker scheduling:
-	// keep the lowest-numbered failing shots.
+	// each scratch kept its lowest-numbered failing shots, so the lowest
+	// overall are among them.
 	sortFailures(m.failures)
 	if len(m.failures) > maxFailureSamples {
 		m.failures = m.failures[:maxFailureSamples]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"tiscc/internal/decoder"
@@ -48,9 +49,11 @@ func estimate(t *testing.T, d int, m noise.Model, shots, workers int, seed int64
 }
 
 // TestDiagDeterminism is the bit-identity guard: attaching the collector (and
-// the progress fold) must not change the estimate, across worker counts. The
-// error count is additionally pinned as a golden so any future change that
-// silently perturbs the sampled records fails loudly.
+// the progress fold) must not change the estimate, across worker counts, and
+// the attribution report itself must repeat exactly from run to run and
+// across worker counts (its p_L contributions included, down to the last
+// ulp). The error count is additionally pinned as a golden so any future
+// change that silently perturbs the sampled records fails loudly.
 func TestDiagDeterminism(t *testing.T) {
 	const shots, seed = 512, 1
 	model := noise.Depolarizing(3e-3)
@@ -60,7 +63,8 @@ func TestDiagDeterminism(t *testing.T) {
 	if base.Errors != 26 {
 		t.Fatalf("pinned golden moved: %d errors, want 26 (records perturbed?)", base.Errors)
 	}
-	for _, workers := range []int{1, 4} {
+	var first *AttributionReport
+	for _, workers := range []int{1, 4, 1, 4} {
 		mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
 		if err != nil {
 			t.Fatal(err)
@@ -80,6 +84,42 @@ func TestDiagDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: collector saw %d shots / %d failures, estimator %d/%d",
 				workers, att.Shots, att.Failures, shots, base.Errors)
 		}
+		if first == nil {
+			first = att
+		} else if !reflect.DeepEqual(att, first) {
+			t.Fatalf("workers=%d: attribution differs from the first run:\n%+v\nvs\n%+v", workers, att, first)
+		}
+	}
+}
+
+// TestFailureSamplesKeepLowest feeds failing shots in an adversarial order —
+// shots 100–109, then shot 5 — and checks that the localization sample is
+// still the lowest-numbered failing shots, as it must be for the report not
+// to depend on which shots each worker happened to see first.
+func TestFailureSamplesKeepLowest(t *testing.T) {
+	mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dets, err := decoder.Extract(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll := NewCollector(noise.Compile(noise.Depolarizing(3e-3), mem.Prog), dets, 1)
+	for shot := 100; shot < 110; shot++ {
+		coll.ObserveShot(shot, true, map[int32]bool{})
+	}
+	coll.ObserveShot(5, true, map[int32]bool{})
+	rep, err := coll.DetectorReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, f := range rep.Failures {
+		got = append(got, f.Shot)
+	}
+	if want := []int{5, 100, 101, 102, 103, 104, 105, 106}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("failure samples %v, want %v", got, want)
 	}
 }
 

@@ -1,19 +1,15 @@
 package frame
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 )
 
-// SampleRecords runs shots shot lanes through the frame sampler across a
-// deterministic worker pool and hands each shot's record table to visit:
-// the frame-engine counterpart of the tableau engines' RunShots, and the
-// noise.RecordSampler implementation that plugs the engine into
-// noise.EstimateLogicalError.
+// SampleRecords runs shots shot lanes through the frame sampler, with 64-lane
+// batches as the units of the deterministic worker pool (orqcs.RunPool), and
+// hands each shot's record table to visit: the frame-engine counterpart of
+// the tableau engines' RunShots, and the noise.RecordSampler implementation
+// that plugs the engine into noise.EstimateLogicalError.
 //
 // Shot i's records derive from orqcs.ShotSeed(seed, i) regardless of worker
 // count or batch placement. visit may be called concurrently from different
@@ -26,7 +22,8 @@ func (s *Sim) SampleRecords(shots int, seed int64, workers int, visit func(shot 
 	if workers < 0 {
 		return &noise.OptionError{Op: "frame.SampleRecords", Field: "Workers", Value: workers, Constraint: "must be ≥ 0"}
 	}
-	return s.runBatches(shots, seed, workers, func(b *Batch) error {
+	return orqcs.RunPool(numBatches(shots), workers, s.NewBatch, func(b *Batch, bi int) error {
+		b.runBatch(bi, shots, seed)
 		for lane := 0; lane < b.n; lane++ {
 			if err := visit(b.first+lane, b.Records(lane)); err != nil {
 				return err
@@ -36,66 +33,15 @@ func (s *Sim) SampleRecords(shots int, seed int64, workers int, visit func(shot 
 	})
 }
 
-// runBatches drives 64-shot batches through a worker pool, calling fold
-// after every completed batch (concurrently across workers, each worker
-// reusing one Batch). The pool mirrors orqcs.RunShotsRange: an atomic
-// batch cursor, first visit error wins, every lane still seeded per shot.
-func (s *Sim) runBatches(shots int, seed int64, workers int, fold func(b *Batch) error) error {
-	if shots <= 0 {
-		return nil
-	}
-	batches := (shots + 63) / 64
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > batches {
-		workers = batches
-	}
-	runOne := func(b *Batch, bi int) error {
-		first := bi * 64
-		count := shots - first
-		if count > 64 {
-			count = 64
-		}
-		b.Run(first, count, seed)
-		return fold(b)
-	}
-	if workers == 1 {
-		b := s.NewBatch()
-		for bi := 0; bi < batches; bi++ {
-			if err := runOne(b, bi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := s.NewBatch()
-			for !stop.Load() {
-				bi := int(next.Add(1)) - 1
-				if bi >= batches {
-					return
-				}
-				if err := runOne(b, bi); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
+// numBatches is the number of 64-lane batches — the pool's units — that
+// cover shots shots.
+func numBatches(shots int) int { return (shots + 63) / 64 }
+
+// runBatch runs batch bi of a shots-shot run: shots [64·bi, min(64·bi+64,
+// shots)), each lane still seeded per shot.
+func (b *Batch) runBatch(bi, shots int, seed int64) {
+	first := bi * 64
+	b.Run(first, min(64, shots-first), seed)
 }
 
 // EstimateMany Monte-Carlo-estimates several Pauli operators over the
@@ -120,31 +66,35 @@ func (s *Sim) EstimateMany(ops []orqcs.SitePauli, shots int, seed int64, workers
 			return nil, nil, err
 		}
 	}
+	// Batch bi's payload is one flip word per operator; the fold expands it
+	// lane by lane, so shots enter the reduction in strict shot order.
 	st := orqcs.NewStats(len(ops))
-	type batchVals struct {
-		flips []uint64
-		vals  []float64
-	}
-	var scratch sync.Pool // per-worker value buffers without Batch growth
-	scratch.New = func() any {
-		return &batchVals{flips: make([]uint64, len(ops)), vals: make([]float64, len(ops))}
-	}
-	if err := s.runBatches(shots, seed, workers, func(b *Batch) error {
-		bv := scratch.Get().(*batchVals)
-		defer scratch.Put(bv)
-		for j, ro := range ros {
-			bv.flips[j] = b.FlipWord(ro)
-		}
-		for lane := 0; lane < b.n; lane++ {
+	vals := make([]float64, len(ops)) // only touched under the fold's lock
+	fold := orqcs.NewFold(func(bi int, flips []uint64) bool {
+		lanes := min(64, shots-bi*64)
+		for lane := 0; lane < lanes; lane++ {
 			for j, ro := range ros {
 				v := ro.ref
-				if bv.flips[j]>>uint(lane)&1 == 1 {
+				if flips[j]>>uint(lane)&1 == 1 {
 					v = -v
 				}
-				bv.vals[j] = v
+				vals[j] = v
 			}
-			st.Add(b.first+lane, bv.vals)
+			st.Add(vals)
 		}
+		return false
+	}, func(dst, flips []uint64) []uint64 { return append(dst[:0], flips...) })
+	type worker struct {
+		b     *Batch
+		flips []uint64
+	}
+	newWorker := func() *worker { return &worker{b: s.NewBatch(), flips: make([]uint64, len(ops))} }
+	if err := orqcs.RunPool(numBatches(shots), workers, newWorker, func(w *worker, bi int) error {
+		w.b.runBatch(bi, shots, seed)
+		for j, ro := range ros {
+			w.flips[j] = w.b.FlipWord(ro)
+		}
+		fold.Add(bi, w.flips)
 		return nil
 	}); err != nil {
 		return nil, nil, err

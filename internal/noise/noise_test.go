@@ -265,7 +265,9 @@ func TestNoisyShotsDeterministicRecords(t *testing.T) {
 }
 
 // TestEarlyStopping checks that a loose target stops before the shot budget
-// and that the early-stopped result is a prefix of the full run.
+// and that the early-stopped result is a prefix of the full run — at every
+// worker count, so shots sampled past the cutoff before the pool drains are
+// discarded uncounted.
 func TestEarlyStopping(t *testing.T) {
 	prog, rec := singleQubitMemory(t, 10)
 	s := Compile(Model{P1: 0.05}, prog)
@@ -295,6 +297,16 @@ func TestEarlyStopping(t *testing.T) {
 	}
 	if recount.Errors != early.Errors {
 		t.Fatalf("early-stopped run is not a prefix: %d vs %d errors", early.Errors, recount.Errors)
+	}
+	for _, workers := range []int{1, 4, 8} {
+		got, err := EstimateLogicalError(s, expr.FromID(rec), false,
+			Options{Shots: 10000, Seed: 13, TargetStdErr: 0.02, Batch: 100, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != early {
+			t.Fatalf("workers=%d: early-stopped result %+v, want %+v", workers, got, early)
+		}
 	}
 }
 

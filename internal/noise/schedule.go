@@ -332,8 +332,7 @@ func branch(u, p float64, n int) int {
 // stream, fired faults update the tableau's Pauli frame in place, and no
 // allocation happens per shot. The engine must have been built from the same
 // program. For a fixed schedule the shot outcome depends only on the seed.
-// RunShot is an orqcs.ShotFunc, so it plugs directly into RunShotsRange and
-// EstimateManyFunc.
+// RunShot is an orqcs.ShotFunc, so it plugs directly into EstimateManyFunc.
 //
 //tiscc:hotpath
 func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
@@ -456,11 +455,17 @@ func (s *Schedule) SampleSlotBatch(slot int, states []uint64, fx, fz []uint64) i
 	return total
 }
 
-// RunShots executes noisy shots across the deterministic worker pool:
-// the noisy counterpart of orqcs.RunShots, with the same visit contract and
-// worker-count-independent per-shot seeding.
+// RunShots executes noisy shots on the deterministic worker pool
+// (orqcs.RunPool): the noisy counterpart of orqcs.RunShots, with the same
+// visit contract and worker-count-independent per-shot seeding.
 func (s *Schedule) RunShots(shots int, seed int64, workers int, visit func(shot int, e *orqcs.Engine) error) error {
-	return orqcs.RunShotsRange(s.prog, 0, shots, seed, workers, s.RunShot, visit)
+	return orqcs.RunPool(shots, workers, func() *orqcs.Engine { return orqcs.NewFromProgram(s.prog) }, func(e *orqcs.Engine, i int) error {
+		s.RunShot(e, orqcs.ShotSeed(seed, i))
+		if visit == nil {
+			return nil
+		}
+		return visit(i, e)
+	})
 }
 
 // EstimateMany Monte-Carlo-estimates several Pauli operators over the

@@ -365,17 +365,137 @@ func ShotSeed(base int64, shot int) int64 {
 	return int64(splitmix64(uint64(base) + 0x9E3779B97F4A7C15*uint64(shot)))
 }
 
-// --- Multi-shot runners ------------------------------------------------------
+// --- Multi-shot runtime -------------------------------------------------------
+//
+// Every multi-shot run — tableau shots here and in internal/noise, 64-lane
+// batches in internal/frame — goes through RunPool, and every estimate folds
+// its per-unit results through a Fold. Together they are the shot-order
+// contract: unit i is seeded from its index alone (ShotSeed), and results
+// are folded in index order, so no estimate depends on the worker count or
+// on scheduling.
+
+// RunPool runs units [0, n) on a pool of worker goroutines, calling
+// run(state, unit) exactly once per claimed unit. Each worker owns the state
+// newState builds for it (a tableau engine, a frame batch), reused across
+// its units. workers ≤ 0 selects GOMAXPROCS, and no more workers than units
+// are started. Workers claim units from one atomic cursor in index order;
+// the first error run returns wins, stops further claims and is returned
+// (units already claimed still finish). Which worker runs which unit depends
+// on scheduling, so run must derive its result from the unit index alone and
+// fold it in order through a Fold.
+func RunPool[S any](n, workers int, newState func() S, run func(state S, unit int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			state := newState()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := run(state, i); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					stop.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// Fold applies a payload fold to units 0, 1, 2, … in strict index order,
+// whatever order the pool's workers deliver them in. A unit that arrives
+// ahead of the contiguous prefix is buffered until the prefix reaches it, so
+// the fold sequence — every float sum, every early-stop decision — is the
+// same for any worker count. The buffer holds the arrivals ahead of the
+// slowest unit still in flight, so its size depends on how far the other
+// workers run ahead, not on the worker count alone (a frame worker delivers
+// 64 shots per batch). Safe for concurrent use; the fold function runs under
+// the Fold's lock.
+type Fold[T any] struct {
+	mu      sync.Mutex
+	next    int // next unit to fold
+	stopped bool
+	pending map[int]T
+	spare   []T // recycled buffers (clone only)
+	fold    func(unit int, v T) (stop bool)
+	clone   func(dst, v T) T
+}
+
+// NewFold returns a Fold that calls fold(unit, v) for each unit in index
+// order until fold reports stop. clone, if non-nil, copies a payload that
+// must be buffered into dst — a recycled buffer, or T's zero value — and
+// returns the copy; it is for payloads whose storage the caller reuses once
+// Add returns. With clone nil, payloads are buffered as they are.
+func NewFold[T any](fold func(unit int, v T) (stop bool), clone func(dst, v T) T) *Fold[T] {
+	return &Fold[T]{pending: make(map[int]T), fold: fold, clone: clone}
+}
+
+// Add delivers one unit's payload and reports whether the fold has stopped.
+// Once it has, Add neither folds nor buffers: units past the stopping point
+// are discarded uncounted. Every unit below the stopping point must be
+// delivered exactly once.
+func (f *Fold[T]) Add(unit int, v T) (stopped bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stopped {
+		return true
+	}
+	if unit != f.next {
+		if f.clone != nil {
+			var buf T
+			if n := len(f.spare); n > 0 {
+				buf = f.spare[n-1]
+				f.spare = f.spare[:n-1]
+			}
+			v = f.clone(buf, v)
+		}
+		f.pending[unit] = v
+		return false
+	}
+	f.stopped = f.fold(unit, v)
+	f.next++
+	for !f.stopped {
+		buf, ok := f.pending[f.next]
+		if !ok {
+			break
+		}
+		delete(f.pending, f.next)
+		f.stopped = f.fold(f.next, buf)
+		f.next++
+		if f.clone != nil {
+			f.spare = append(f.spare, buf)
+		}
+	}
+	return f.stopped
+}
 
 // ShotFunc executes one shot on an engine with the given derived shot seed.
 // The noise subsystem supplies fault-injecting runners; nil means the plain
 // noiseless Engine.RunShot.
 type ShotFunc func(e *Engine, shotSeed int64)
 
-// RunShots executes shots runs of the program across a worker pool. Each
-// worker owns one reusable Engine (compiled state, preallocated tableau);
-// shot i always runs with ShotSeed(seed, i), so results are independent of
-// the worker count. workers ≤ 0 selects GOMAXPROCS.
+// RunShots executes shots runs of the program on RunPool. Each worker owns
+// one reusable Engine (compiled state, preallocated tableau); shot i always
+// runs with ShotSeed(seed, i), so results are independent of the worker
+// count. workers ≤ 0 selects GOMAXPROCS.
 //
 // visit, if non-nil, is called after every completed shot with the engine
 // that ran it. Calls happen concurrently from different workers (always for
@@ -383,74 +503,13 @@ type ShotFunc func(e *Engine, shotSeed int64)
 // only valid until that worker starts its next shot: copy anything that
 // must outlive the call. A non-nil error from visit stops the run.
 func RunShots(p *Program, shots int, seed int64, workers int, visit func(shot int, e *Engine) error) error {
-	return RunShotsRange(p, 0, shots, seed, workers, nil, visit)
-}
-
-// RunShotsRange is RunShots over the global shot indices [first, first+count):
-// shot i still runs with ShotSeed(seed, i), so a run split into consecutive
-// ranges is shot-for-shot identical to one contiguous run — the mechanism
-// behind deterministic early stopping. run, if non-nil, replaces the
-// noiseless Engine.RunShot as the per-shot executor (fault injection hooks
-// in here).
-func RunShotsRange(p *Program, first, count int, seed int64, workers int, run ShotFunc, visit func(shot int, e *Engine) error) error {
-	if count <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > count {
-		workers = count
-	}
-	oneShot := func(e *Engine, i int) {
-		if run == nil {
-			e.RunShot(ShotSeed(seed, i))
-		} else {
-			run(e, ShotSeed(seed, i))
+	return RunPool(shots, workers, func() *Engine { return NewFromProgram(p) }, func(e *Engine, i int) error {
+		e.RunShot(ShotSeed(seed, i))
+		if visit == nil {
+			return nil
 		}
-	}
-	if workers == 1 {
-		e := NewFromProgram(p)
-		for i := first; i < first+count; i++ {
-			oneShot(e, i)
-			if visit != nil {
-				if err := visit(i, e); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := NewFromProgram(p)
-			for !stop.Load() {
-				i := first + int(next.Add(1)) - 1
-				if i >= first+count {
-					return
-				}
-				oneShot(e, i)
-				if visit != nil {
-					if err := visit(i, e); err != nil {
-						errOnce.Do(func() { firstEr = err })
-						stop.Store(true)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
+		return visit(i, e)
+	})
 }
 
 // --- Streaming shot statistics ----------------------------------------------
@@ -471,81 +530,40 @@ func (k *kahan) add(x float64) {
 
 func (k *kahan) value() float64 { return k.sum + k.c }
 
-// streamStats folds per-shot operator values into running compensated sums in
-// strict shot order, without materializing a per-shot slice: memory is
-// O(workers), not O(shots). Workers claim shots in index order and hold at
-// most one each, so at most `workers` out-of-order values are ever pending;
-// they are buffered until the contiguous prefix catches up, which keeps the
-// fold sequence — and therefore every float — identical for any worker count.
-// (noise.stopFold mirrors this ordering mechanism for its early-stopping
-// decision; a change to the invariant here must be mirrored there.)
-type streamStats struct {
-	mu         sync.Mutex
-	nOps       int
-	next       int // next shot index to fold
-	pending    map[int][]float64
-	free       [][]float64 // recycled pending buffers
+// Stats folds per-shot operator values into running compensated sums
+// without materializing a per-shot slice: memory is O(operators), not
+// O(shots). Fed in shot order through a Fold, it yields means and standard
+// errors bit-identical for every worker count and every engine (EstimateMany
+// here, the Pauli-frame engine's EstimateMany). Not safe for concurrent use.
+type Stats struct {
 	sum, sumSq []kahan
 	count      int
 }
 
-func newStreamStats(nOps int) *streamStats {
-	return &streamStats{
-		nOps:    nOps,
-		pending: make(map[int][]float64),
-		sum:     make([]kahan, nOps),
-		sumSq:   make([]kahan, nOps),
-	}
+// NewStats returns a reduction over nOps per-shot values.
+func NewStats(nOps int) *Stats {
+	return &Stats{sum: make([]kahan, nOps), sumSq: make([]kahan, nOps)}
 }
 
-// add folds the values of one shot (vals is copied if it must be buffered;
-// callers may reuse it immediately).
-func (st *streamStats) add(shot int, vals []float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if shot != st.next {
-		buf := vals
-		if n := len(st.free); n > 0 {
-			buf = st.free[n-1]
-			st.free = st.free[:n-1]
-			copy(buf, vals)
-		} else {
-			buf = append([]float64(nil), vals...)
-		}
-		st.pending[shot] = buf
-		return
-	}
-	st.fold(vals)
-	for {
-		buf, ok := st.pending[st.next]
-		if !ok {
-			return
-		}
-		delete(st.pending, st.next)
-		st.fold(buf)
-		st.free = append(st.free, buf)
-	}
-}
-
-func (st *streamStats) fold(vals []float64) {
+// Add folds the values of the next shot.
+func (s *Stats) Add(vals []float64) {
 	for j, x := range vals {
-		st.sum[j].add(x)
-		st.sumSq[j].add(x * x)
+		s.sum[j].add(x)
+		s.sumSq[j].add(x * x)
 	}
-	st.next++
-	st.count++
+	s.count++
 }
 
-// meanStderr reduces operator j's running sums to (mean, standard error of
+// MeanStderr reduces operator j's running sums to (mean, standard error of
 // the mean).
-func (st *streamStats) meanStderr(j int) (mean, stderr float64) {
-	n := float64(st.count)
-	if st.count == 0 {
+func (s *Stats) MeanStderr(j int) (mean, stderr float64) {
+	n := float64(s.count)
+	if s.count == 0 {
 		return 0, 0
 	}
-	sum, sumSq := st.sum[j].value(), st.sumSq[j].value()
+	sum, sumSq := s.sum[j].value(), s.sumSq[j].value()
 	mean = sum / n
-	if st.count > 1 {
+	if s.count > 1 {
 		varr := (sumSq - sum*sum/n) / (n - 1)
 		if varr < 0 {
 			varr = 0
@@ -554,30 +572,6 @@ func (st *streamStats) meanStderr(j int) (mean, stderr float64) {
 	}
 	return mean, stderr
 }
-
-// Stats is the exported face of the streaming reduction, for multi-shot
-// executors that live outside this package (the Pauli-frame engine): feeding
-// the same per-shot values through Add yields means and standard errors
-// bit-identical to EstimateMany's, for any worker count.
-type Stats struct{ st *streamStats }
-
-// NewStats returns a reduction over nOps per-shot values.
-func NewStats(nOps int) *Stats { return &Stats{st: newStreamStats(nOps)} }
-
-// Add folds the values of one shot. Shots may arrive out of order (vals is
-// copied if it must be buffered; callers may reuse it immediately), but every
-// index from 0 upward must eventually arrive exactly once.
-func (s *Stats) Add(shot int, vals []float64) { s.st.add(shot, vals) }
-
-// Count returns the number of shots folded into the contiguous prefix.
-func (s *Stats) Count() int {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	return s.st.count
-}
-
-// MeanStderr reduces operator j's sums to (mean, standard error of the mean).
-func (s *Stats) MeanStderr(j int) (mean, stderr float64) { return s.st.meanStderr(j) }
 
 // --- Batch estimation --------------------------------------------------------
 
@@ -626,13 +620,21 @@ func estimateMany(entry string, p *Program, run ShotFunc, ops []SitePauli, shots
 			return nil, nil, err
 		}
 	}
-	st := newStreamStats(len(ops))
-	if err := RunShotsRange(p, 0, shots, seed, workers, run, func(i int, e *Engine) error {
+	if run == nil {
+		run = (*Engine).RunShot
+	}
+	st := NewStats(len(ops))
+	fold := NewFold(func(_ int, vals []float64) bool {
+		st.Add(vals)
+		return false
+	}, func(dst, vals []float64) []float64 { return append(dst[:0], vals...) })
+	if err := RunPool(shots, workers, func() *Engine { return NewFromProgram(p) }, func(e *Engine, i int) error {
+		run(e, ShotSeed(seed, i))
 		vals := e.scratch(len(ops))
 		for j, ps := range pss {
 			vals[j] = e.weight * e.tb.ExpectationValue(ps)
 		}
-		st.add(i, vals)
+		fold.Add(i, vals)
 		return nil
 	}); err != nil {
 		return nil, nil, err
@@ -640,7 +642,7 @@ func estimateMany(entry string, p *Program, run ShotFunc, ops []SitePauli, shots
 	means = make([]float64, len(ops))
 	stderrs = make([]float64, len(ops))
 	for j := range ops {
-		means[j], stderrs[j] = st.meanStderr(j)
+		means[j], stderrs[j] = st.MeanStderr(j)
 	}
 	return means, stderrs, nil
 }

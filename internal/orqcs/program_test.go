@@ -1,10 +1,15 @@
 package orqcs
 
 import (
+	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/core"
@@ -148,7 +153,8 @@ func (tr shotTrace) equal(o shotTrace) bool {
 
 // TestRunShotsDeterministicAcrossWorkers checks the tentpole reproducibility
 // guarantee: same circuit + same seed ⇒ identical per-shot measurement
-// records and weights for 1, 4 and 8 workers.
+// records and weights for 1, 4 and 8 workers, for the GOMAXPROCS default
+// (0), and for more workers than shots (capped at the shot count).
 func TestRunShotsDeterministicAcrossWorkers(t *testing.T) {
 	c, _ := buildTPlus(t)
 	p, err := Compile(c)
@@ -167,13 +173,145 @@ func TestRunShotsDeterministicAcrossWorkers(t *testing.T) {
 		return traces
 	}
 	ref := run(1)
-	for _, workers := range []int{4, 8} {
+	for _, workers := range []int{4, 8, 0, 2 * shots} {
 		got := run(workers)
 		for i := range ref {
 			if !ref[i].equal(got[i]) {
 				t.Fatalf("workers=%d: shot %d trace diverged (%v vs %v)", workers, i, ref[i], got[i])
 			}
 		}
+	}
+}
+
+// TestRunPool covers the pool's contract on its own: the worker count is
+// capped at the unit count and defaults to GOMAXPROCS, and the first error
+// wins and stops new claims.
+func TestRunPool(t *testing.T) {
+	errFirst, errLate := errors.New("first"), errors.New("late")
+	for _, tc := range []struct {
+		name       string
+		n, workers int
+		run        func(unit int) error
+		wantErr    error
+		wantStates int
+		maxRuns    int // 0: every unit runs exactly once
+	}{
+		{name: "cap", n: 3, workers: 8, wantStates: 3},
+		{name: "default", n: 1000, workers: 0, wantStates: min(runtime.GOMAXPROCS(0), 1000)},
+		{name: "negative-default", n: 1000, workers: -2, wantStates: min(runtime.GOMAXPROCS(0), 1000)},
+		{name: "empty", n: 0, workers: 4, wantStates: 0},
+		{
+			// Unit 0 fails at once; every other unit fails later. The early
+			// error is the one returned.
+			name: "first-error-wins", n: 100, workers: 4, wantStates: 4, maxRuns: 4,
+			run: func(unit int) error {
+				if unit == 0 {
+					return errFirst
+				}
+				time.Sleep(50 * time.Millisecond)
+				return errLate
+			},
+			wantErr: errFirst,
+		},
+		{
+			// Only unit 2 fails, on one worker: units 3… are never claimed.
+			name: "error-stops-claims-serial", n: 100, workers: 1, wantStates: 1, maxRuns: 3,
+			run: func(unit int) error {
+				if unit == 2 {
+					return errFirst
+				}
+				return nil
+			},
+			wantErr: errFirst,
+		},
+		{
+			// Only unit 0 fails; the other workers finish the unit they
+			// hold and claim nothing more.
+			name: "error-stops-claims", n: 1000, workers: 4, wantStates: 4, maxRuns: 100,
+			run: func(unit int) error {
+				if unit == 0 {
+					return errFirst
+				}
+				time.Sleep(100 * time.Microsecond)
+				return nil
+			},
+			wantErr: errFirst,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var states, runs atomic.Int64
+			seen := make([]atomic.Int32, tc.n)
+			err := RunPool(tc.n, tc.workers, func() *int {
+				states.Add(1)
+				return new(int)
+			}, func(_ *int, unit int) error {
+				runs.Add(1)
+				seen[unit].Add(1)
+				if tc.run == nil {
+					return nil
+				}
+				return tc.run(unit)
+			})
+			if err != tc.wantErr {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := int(states.Load()); got != tc.wantStates {
+				t.Fatalf("%d worker states, want %d", got, tc.wantStates)
+			}
+			if tc.maxRuns > 0 {
+				if got := int(runs.Load()); got > tc.maxRuns {
+					t.Fatalf("%d units ran after the error, want ≤ %d", got, tc.maxRuns)
+				}
+				return
+			}
+			for unit := range seen {
+				if got := seen[unit].Load(); got != 1 {
+					t.Fatalf("unit %d ran %d times", unit, got)
+				}
+			}
+		})
+	}
+}
+
+// TestFold checks the strict-order fold: out-of-order arrivals are folded in
+// index order (buffered copies, so the caller may reuse its payload), and
+// once the fold stops, later units are discarded uncounted — both those
+// already buffered and those still to arrive.
+func TestFold(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		arrivals   []int
+		stopAt     int // unit whose fold stops the run; -1: never
+		wantFolded []int
+	}{
+		{"in-order", []int{0, 1, 2, 3}, -1, []int{0, 1, 2, 3}},
+		{"out-of-order", []int{3, 1, 0, 5, 2, 4}, -1, []int{0, 1, 2, 3, 4, 5}},
+		{"stop-discards-buffered", []int{4, 3, 0, 1, 2, 5}, 2, []int{0, 1, 2}},
+		{"stop-discards-late", []int{0, 1, 2, 3, 4, 5}, 1, []int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var folded []int
+			f := NewFold(func(unit int, v []int) bool {
+				if v[0] != unit {
+					t.Fatalf("unit %d folded with payload %d", unit, v[0])
+				}
+				folded = append(folded, unit)
+				return unit == tc.stopAt
+			}, func(dst, v []int) []int { return append(dst[:0], v...) })
+			payload := make([]int, 1) // reused across Adds, like an engine's scratch
+			stopped := false
+			for _, unit := range tc.arrivals {
+				payload[0] = unit
+				stopped = f.Add(unit, payload)
+				payload[0] = -1
+			}
+			if !reflect.DeepEqual(folded, tc.wantFolded) {
+				t.Fatalf("folded %v, want %v", folded, tc.wantFolded)
+			}
+			if stopped != (tc.stopAt >= 0) {
+				t.Fatalf("last Add reported stopped=%v", stopped)
+			}
+		})
 	}
 }
 
